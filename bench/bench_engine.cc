@@ -1,9 +1,9 @@
 /**
  * @file
  * bench_engine — simulator-throughput benchmark for the simulation
- * engines. Runs representative cells under the polled reference loop,
- * the timing-wheel event engine and the adaptive auto engine, verifies
- * their metrics are bit-identical, and reports wall-clock speedup,
+ * engines. Runs representative cells under the polled reference loop
+ * and the wake-hint event engine, verifies their metrics are
+ * bit-identical, and reports wall-clock speedup,
  * Minstr/s and the skipped-cycle fraction per cell. A 4-core mix
  * section additionally times the threaded engine (--sim-threads=4)
  * against the same mix single-threaded. Everything lands in
@@ -14,8 +14,8 @@
  * The headline case is the low-MLP pointer chase (canneal): one
  * dependent load in flight at a time leaves almost every cycle idle,
  * which the event engine skips in O(1). The dense stream (leslie3d)
- * is the honest lower bound — little to skip — and where the auto
- * engine must flip to polled dispatch to stay >= 1.0x.
+ * is the honest lower bound — little to skip — where the event
+ * engine must still stay >= 1.0x.
  *
  * Timing is best-of-3 per (cell, engine): metrics are identical across
  * repeats by construction (asserted elsewhere), so the fastest wall
@@ -30,7 +30,10 @@
  * parent directory, i.e. the repo root when run from build/), the
  * full run additionally prints a per-cell before/after table of
  * polled-engine Minstr/s against it, so structure-level work shows up
- * as a reviewable throughput delta per cell.
+ * as a reviewable throughput delta per cell. The table needs a
+ * baseline recorded at the same scale, phase lengths and host CPU
+ * count; otherwise one SKIPPED line names the first field that
+ * differs.
  *
  *   bench_engine            full comparison (honors GAZE_SIM_SCALE)
  *   bench_engine --quick    short cells; asserts throughput > 0 AND
@@ -112,17 +115,39 @@ timedRun(const RunConfig &cfg, const std::vector<WorkloadDef> &mix,
     return er;
 }
 
+/** A header field the baseline must share with the fresh run. */
+struct BaselineField
+{
+    const char *key;
+    double fresh;
+};
+
+/** @p v as JsonWriter prints it, so both sides compare as text. */
+std::string
+jsonNumber(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+    return buf;
+}
+
 /**
  * Per-cell polled Minstr/s from a committed BENCH_engine.json, keyed
  * "workload|prefetcher". The file is our own JsonWriter output, so a
  * targeted scan (no general JSON parser in the tree) is enough: for
  * each "workload"/"prefetcher" pair, take the first "minstr_per_sec"
  * inside the following "polled" block. Cells whose next block is not
- * "polled" (the mix rows) are skipped. Returns empty when no baseline
- * is readable — the before/after table is then simply omitted.
+ * "polled" (the mix rows) are skipped.
+ *
+ * Throughput only compares across like work on a like host, so every
+ * @p fields entry must match the baseline's header, as
+ * scripts/bench_compare.py requires. Returns empty when no baseline
+ * is readable, or after printing one SKIPPED line for the first
+ * field that differs — the before/after table is then omitted.
  */
 std::vector<std::pair<std::string, double>>
-loadPolledBaseline(std::string *pathUsed)
+loadPolledBaseline(const std::vector<BaselineField> &fields,
+                   std::string *pathUsed)
 {
     std::vector<std::pair<std::string, double>> base;
     std::string text;
@@ -140,6 +165,23 @@ loadPolledBaseline(std::string *pathUsed)
     }
     if (text.empty())
         return base;
+
+    for (const BaselineField &field : fields) {
+        std::string key = std::string("\"") + field.key + "\":";
+        size_t k = text.find(key);
+        std::string was =
+            k == std::string::npos
+                ? "missing"
+                : jsonNumber(std::strtod(text.c_str() + k + key.size(),
+                                         nullptr));
+        std::string now = jsonNumber(field.fresh);
+        if (was != now) {
+            std::printf("\nSKIPPED: baseline table — %s differs "
+                        "(baseline %s, fresh %s)\n",
+                        field.key, was.c_str(), now.c_str());
+            return base;
+        }
+    }
 
     auto stringAfter = [&](const char *key, size_t &pos) {
         size_t k = text.find(key, pos);
@@ -246,8 +288,6 @@ jsonEngineBlock(JsonWriter &j, const char *key, const EngineRun &er)
     j.field("cycles_executed", r.engine.cyclesExecuted);
     j.field("cycles_skipped", r.engine.cyclesSkipped);
     j.field("events_dispatched", r.engine.eventsDispatched);
-    j.field("engine_flips", r.engine.engineFlips);
-    j.field("polled_cycles", r.engine.polledCycles);
     j.field("skip_fraction", r.engine.skipFraction());
     j.endObject();
 }
@@ -272,8 +312,8 @@ quickSmoke()
     // Cross-engine identity gate: every engine variant must reproduce
     // the polled reference bit for bit, and checkIdentical dies with
     // GAZE_FATAL if it ever does not. Single-core canneal x gaze
-    // covers polled/event/auto; a 2-core mix covers the threaded
-    // fork/join path against its single-threaded twin.
+    // covers polled/event; a 2-core mix covers the threaded fork/join
+    // path against its single-threaded twin.
     PfSpec gazePf;
     gazePf.l1 = "gaze";
     std::vector<WorkloadDef> one = {findWorkload("canneal")};
@@ -283,10 +323,6 @@ quickSmoke()
                    Runner(configFor(EngineKind::Event))
                        .runMix(one, gazePf),
                    "canneal x gaze", "event");
-    checkIdentical(polled,
-                   Runner(configFor(EngineKind::Auto))
-                       .runMix(one, gazePf),
-                   "canneal x gaze", "auto");
     std::vector<WorkloadDef> two = {findWorkload("canneal"),
                                     findWorkload("mcf")};
     checkIdentical(Runner(configFor(EngineKind::Event, 1))
@@ -295,7 +331,7 @@ quickSmoke()
                        .runMix(two, gazePf),
                    "canneal+mcf x gaze", "threaded(2)");
     std::printf("bench_engine quick: metrics identical across "
-                "polled/event/auto and --sim-threads=2\n");
+                "polled/event and --sim-threads=2\n");
     return 0;
 }
 
@@ -318,8 +354,7 @@ main(int argc, char **argv)
         return quickSmoke();
 
     bench::banner("bench_engine",
-                  "polled vs event vs auto vs threaded engine "
-                  "throughput");
+                  "polled vs event vs threaded engine throughput");
 
     unsigned hostCpus = std::thread::hardware_concurrency();
     std::printf("host CPUs: %u (threaded wall-clock numbers need at "
@@ -327,9 +362,8 @@ main(int argc, char **argv)
                 hostCpus);
 
     // Low-MLP pointer chases (big idle-skip win), a dense stream
-    // (little to skip: the honest lower bound and the auto engine's
-    // reason to exist), and a mixed graph workload, with and without
-    // a prefetcher.
+    // (little to skip: the honest lower bound), and a mixed graph
+    // workload, with and without a prefetcher.
     const std::vector<std::string> workloads = {"canneal", "mcf",
                                                 "leslie3d", "BFS-17"};
     const std::vector<std::string> prefetchers = {"none", "gaze"};
@@ -338,10 +372,10 @@ main(int argc, char **argv)
     {
         std::string workload;
         std::string prefetcher;
-        EngineRun polled, event, autorun;
+        EngineRun polled, event;
     };
     std::vector<SingleCell> cells;
-    std::vector<double> eventSpeedups, autoSpeedups;
+    std::vector<double> eventSpeedups;
     for (const auto &wname : workloads) {
         std::vector<WorkloadDef> mix = {findWorkload(wname)};
         for (const auto &pname : prefetchers) {
@@ -353,25 +387,16 @@ main(int argc, char **argv)
             c.prefetcher = pname;
             c.polled = timedRun(configFor(EngineKind::Polled), mix, pf);
             c.event = timedRun(configFor(EngineKind::Event), mix, pf);
-            c.autorun = timedRun(configFor(EngineKind::Auto), mix, pf);
             std::string cell = wname + " x " + pname;
             checkIdentical(c.polled.result, c.event.result, cell,
                            "event");
-            checkIdentical(c.polled.result, c.autorun.result, cell,
-                           "auto");
             double se = c.polled.bestSeconds / c.event.bestSeconds;
-            double sa = c.polled.bestSeconds / c.autorun.bestSeconds;
             eventSpeedups.push_back(se);
-            autoSpeedups.push_back(sa);
-            std::printf(
-                "%-10s x %-6s | polled %6.3fs | event %6.3fs "
-                "(%4.2fx) | auto %6.3fs (%4.2fx, %llu flips) | "
-                "%4.1f%% skipped\n",
-                wname.c_str(), pname.c_str(), c.polled.bestSeconds,
-                c.event.bestSeconds, se, c.autorun.bestSeconds, sa,
-                static_cast<unsigned long long>(
-                    c.autorun.result.engine.engineFlips),
-                100.0 * c.event.result.engine.skipFraction());
+            std::printf("%-10s x %-6s | polled %6.3fs | event %6.3fs "
+                        "(%4.2fx) | %4.1f%% skipped\n",
+                        wname.c_str(), pname.c_str(),
+                        c.polled.bestSeconds, c.event.bestSeconds, se,
+                        100.0 * c.event.result.engine.skipFraction());
             cells.push_back(std::move(c));
         }
     }
@@ -379,8 +404,15 @@ main(int argc, char **argv)
     // Per-cell before/after against the committed baseline: the polled
     // column is where data-structure work shows up undiluted by
     // idle-cycle skipping, so it is the one compared.
+    const uint64_t warmup = RunConfig{}.effectiveWarmup();
+    const uint64_t sim = RunConfig{}.effectiveSim();
     std::string basePath;
-    auto baseline = loadPolledBaseline(&basePath);
+    auto baseline = loadPolledBaseline(
+        {{"scale", simScale()},
+         {"warmup_instructions", double(warmup)},
+         {"sim_instructions", double(sim)},
+         {"host_cpus", double(hostCpus)}},
+        &basePath);
     if (!baseline.empty()) {
         std::printf("\npolled Minstr/s vs committed baseline (%s):\n",
                     basePath.c_str());
@@ -448,15 +480,14 @@ main(int argc, char **argv)
     std::printf("\nwall-clock speedups (metrics bit-identical on "
                 "every cell):\n");
     printAggregate("event vs polled", eventSpeedups);
-    printAggregate("auto vs polled", autoSpeedups);
     printAggregate("4 threads vs 1", threadedSpeedups);
 
     JsonWriter j;
     j.beginObject();
     j.field("experiment", "engine");
     j.field("scale", simScale());
-    j.field("warmup_instructions", RunConfig{}.effectiveWarmup());
-    j.field("sim_instructions", RunConfig{}.effectiveSim());
+    j.field("warmup_instructions", warmup);
+    j.field("sim_instructions", sim);
     j.field("host_cpus", uint64_t(hostCpus));
     j.key("cells").beginArray();
     for (const auto &c : cells) {
@@ -465,11 +496,8 @@ main(int argc, char **argv)
         j.field("prefetcher", c.prefetcher);
         jsonEngineBlock(j, "polled", c.polled);
         jsonEngineBlock(j, "event", c.event);
-        jsonEngineBlock(j, "auto", c.autorun);
         j.field("wall_speedup",
                 c.polled.bestSeconds / c.event.bestSeconds);
-        j.field("wall_speedup_auto",
-                c.polled.bestSeconds / c.autorun.bestSeconds);
         j.field("metrics_identical", true); // asserted fatally above
         j.endObject();
     }
@@ -491,7 +519,6 @@ main(int argc, char **argv)
     j.endArray();
     j.key("aggregates").beginObject();
     jsonAggregate(j, "event", eventSpeedups);
-    jsonAggregate(j, "auto", autoSpeedups);
     jsonAggregate(j, "threaded_4core", threadedSpeedups);
     j.endObject();
     j.field("geomean_wall_speedup", geomean(eventSpeedups));

@@ -13,7 +13,7 @@ like workload sizes, so the gate SKIPS with a notice (exit 0) when:
 
 Per-cell wall noise is expected — single cells finish in tens of
 milliseconds — which is why the gate is on the geomean across all
-cells x {polled, event, auto}, not on any single cell. Cells slower
+cells x {polled, event}, not on any single cell. Cells slower
 than the threshold are still listed, marked, for the human reading
 the log.
 
@@ -42,7 +42,7 @@ def cell_throughputs(doc):
     dominated by host thread scheduling, not simulator work."""
     out = {}
     for cell in doc.get("cells", []):
-        for engine in ("polled", "event", "auto"):
+        for engine in ("polled", "event"):
             block = cell.get(engine)
             if block and block.get("minstr_per_sec", 0) > 0:
                 out[(cell["workload"], cell["prefetcher"], engine)] = \

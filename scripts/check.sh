@@ -170,8 +170,8 @@ GAZE_SIM_SCALE=0.02 sh ../scripts/serve_smoke.sh \
 # Engine throughput smoke: one short event-engine cell must simulate
 # at a positive Minstr/s (asserted inside the binary, printed here so
 # the gate records the number) and skip idle cycles, and the quick
-# mode's cross-engine identity gate (polled == event == auto ==
-# threaded) dies fatally on any mismatch. No pipeline: the binary's
+# mode's cross-engine identity gate (polled == event == threaded)
+# dies fatally on any mismatch. No pipeline: the binary's
 # exit status must reach set -e.
 GAZE_SIM_SCALE=0.02 ./bench/bench_engine --quick > engine_smoke.txt
 cat engine_smoke.txt
@@ -185,14 +185,17 @@ grep -q "metrics identical" engine_smoke.txt
 grep -q "MshrTable find (hit)" micro_smoke.txt
 grep -q "LruTable insert" micro_smoke.txt
 
-# Adaptive + threaded engine smoke through the real CLI: the auto
-# engine must run a matrix end to end, and a 4-core mix must run on
-# a 4-thread slice team (bit-identity is the differential suite's
-# job; this proves the flags work from the binary).
+# Default + threaded engine smoke through the real CLI: the default
+# (event) engine must run a sparse and a dense workload end to end
+# and report its stats, and a 4-core mix must run on a 4-thread slice
+# team (bit-identity is the differential suite's job; this proves the
+# flags work from the binary).
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=canneal,leslie3d \
-    --engine=auto --warmup=2000 --sim=8000 --engine-stats \
-    --out=engine_auto_smoke.json
+    --warmup=2000 --sim=8000 --engine-stats \
+    --out=engine_default_smoke.json > engine_default_smoke.txt
+cat engine_default_smoke.txt
+grep -q "engine: event |" engine_default_smoke.txt
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=mcf \
     --cores=4 --sim-threads=4 --warmup=1000 --sim=4000 \

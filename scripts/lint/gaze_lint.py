@@ -361,11 +361,11 @@ def rule_register_anchor(files):
 # Sim files whose `stat.` counter mutations must be mirrored in the
 # obs bind manifest; the includer-side macros in system.cc turn each
 # manifest entry into a registry binding.
-OBS_INSTRUMENTED_FILES = re.compile(r"sim/(cache|core|dram|event)\.cc$")
+OBS_INSTRUMENTED_FILES = re.compile(r"sim/(cache|core|dram)\.cc$")
 OBS_MANIFEST = "obs/stat_names.inc"
 OBS_MUTATION_RE = re.compile(r"\bstat\.(\w+)")
 OBS_BINDING_RE = re.compile(
-    r"\bGAZE_OBS_(?:CACHE|CORE|DRAM|EVENT)_STAT\((\w+)\)")
+    r"\bGAZE_OBS_(?:CACHE|CORE|DRAM)_STAT\((\w+)\)")
 
 
 def rule_obs_direct_mutation(files):

@@ -29,12 +29,11 @@ const char *gazeSimUsageText =
     "  --level=l1|l2          prefetcher attach level (default: l1)\n"
     "  --cores=N              homogeneous cores per cell (default: 1)\n"
     "  --threads=N            worker threads (default: hardware)\n"
-    "  --engine=event|polled|auto\n"
-    "                         simulation engine (default: event, the\n"
-    "                         idle-cycle-skipping scheduler; polled is\n"
-    "                         the metrics-identical reference loop;\n"
-    "                         auto flips between them per workload\n"
-    "                         phase, still metrics-identical)\n"
+    "  --engine=event|polled\n"
+    "                         simulation engine (default: event, which\n"
+    "                         jumps idle cycles via the components'\n"
+    "                         wake hints; polled is the metrics-\n"
+    "                         identical tick-every-cycle reference)\n"
     "  --sim-threads=N        threads per simulated System; with\n"
     "                         multi-core cells (--cores>1) the cores\n"
     "                         run on a worker team, bit-identical to\n"
@@ -48,7 +47,7 @@ const char *gazeSimUsageText =
     "                         are the obs registry, name-sorted)\n"
     "  --obs-trace=FILE       write a Chrome-trace JSON (open in\n"
     "                         chrome://tracing or ui.perfetto.dev):\n"
-    "                         engine stints/flips and per-core spans\n"
+    "                         run/simulate phases and per-core spans\n"
     "                         in simulated time, cells and baseline\n"
     "                         waits in host time\n"
     "  --obs-interval=N       sampler epoch in cycles for\n"

@@ -147,7 +147,6 @@ runMatrix(const MatrixSpec &spec)
 
     std::atomic<uint64_t> totalInstr{0}, totalEvents{0};
     std::atomic<uint64_t> totalExecuted{0}, totalSkipped{0};
-    std::atomic<uint64_t> totalFlips{0};
     auto runCell = [&](const WorkloadDef &w, const PfSpec &pf,
                        RunResult *out, double *secs) {
         obs::HostSpan cellSpan(
@@ -170,8 +169,6 @@ runMatrix(const MatrixSpec &spec)
                                 std::memory_order_relaxed);
         totalSkipped.fetch_add(out->engine.cyclesSkipped,
                                std::memory_order_relaxed);
-        totalFlips.fetch_add(out->engine.engineFlips,
-                             std::memory_order_relaxed);
         progress(pf.isNone() ? "baseline" : pf.label(), w.name, dt);
     };
 
@@ -266,7 +263,6 @@ runMatrix(const MatrixSpec &spec)
     result.totalEvents = totalEvents.load();
     result.totalCyclesExecuted = totalExecuted.load();
     result.totalCyclesSkipped = totalSkipped.load();
-    result.totalEngineFlips = totalFlips.load();
     result.seconds = matrixTimer.seconds();
     return result;
 }
@@ -389,7 +385,6 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
     j.field("events_dispatched", result.totalEvents);
     j.field("cycles_executed", result.totalCyclesExecuted);
     j.field("cycles_skipped", result.totalCyclesSkipped);
-    j.field("engine_flips", result.totalEngineFlips);
     uint64_t totalCycles =
         result.totalCyclesExecuted + result.totalCyclesSkipped;
     j.field("skip_fraction",

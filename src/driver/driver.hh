@@ -111,12 +111,11 @@ struct MatrixResult
     // Whole-matrix engine totals, baselines included. The aggregate
     // throughput (totalInstructions / seconds) reflects thread-pool
     // parallelism, unlike the per-cell numbers.
-    std::string engine;               ///< "event", "polled" or "auto"
+    std::string engine;               ///< "event" or "polled"
     uint64_t totalInstructions = 0;
     uint64_t totalEvents = 0;
     uint64_t totalCyclesExecuted = 0;
     uint64_t totalCyclesSkipped = 0;
-    uint64_t totalEngineFlips = 0;    ///< auto engine mode switches
 
     /** Matrix-level Minstr/s (all simulated instructions over wall). */
     double

@@ -8,7 +8,7 @@
  *
  * Names are hierarchical dotted paths, `<component>.<counter>`:
  * `core0.instructions`, `l1d0.loadMiss`, `llc.pfFilled`,
- * `dram.busBusyCycles`, `engine.flips`. Export order is always
+ * `dram.busBusyCycles`, `engine.cycle`. Export order is always
  * name-sorted, so two runs (or two engines) produce byte-identical
  * documents for identical counter values.
  */

@@ -4,7 +4,7 @@
  * collects complete-event spans on two process tracks:
  *
  *  - pid 1, "simulated time": ts/dur are *cycles* (read them as "1 us
- *    = 1 cycle" in the viewer). Engine stints and flips, per-core
+ *    = 1 cycle" in the viewer). Run/simulate phases, per-core
  *    measured activity, DRAM utilization counter samples.
  *  - pid 2, "host time": ts/dur are real microseconds since the sink
  *    was created (via harness/wallclock, the sanctioned host-clock

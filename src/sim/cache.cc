@@ -370,11 +370,9 @@ Cache::handlePrefetch(Request &req)
 void
 Cache::tick()
 {
-    // Wake-hint gate: skip cycles where the last tick's
-    // nextWakeCycle() proved (and no wake since lowered the bar) that
-    // ticking can have no effect — the exact cycles the event engine
-    // never dispatches, so the gated polled engine stays bit-identical
-    // to the ungated one by the same contract.
+    // Wake-hint gate (see TickEvent): skip cycles where the last
+    // tick's nextWakeCycle() proved (and no wake since lowered the
+    // bar) that ticking can have no effect.
     if (!sched.due(now()))
         return;
 

@@ -207,20 +207,8 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Current cycle (shared system clock). */
     Cycle now() const { return *clock; }
 
-    /**
-     * Join an event-driven System: subsequent queue/response activity
-     * self-schedules ticks instead of relying on per-cycle polling.
-     * @p priority is this cache's position in the polled tickAll()
-     * order, which same-cycle dispatch reproduces.
-     */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** Wake hint and gated-tick count (see TickEvent). */
+    const TickEvent &wake() const { return sched; }
 
     /**
      * Earliest future cycle at which tick() could have any effect:
@@ -342,7 +330,7 @@ class Cache final : public MemoryDevice, public FillReceiver
     MemoryDevice *lower;
     const Cycle *clock;
 
-    TickEvent<Cache> sched;
+    TickEvent sched;
     RequestPool *pool;
     std::unique_ptr<RequestPool> ownedPool;
 

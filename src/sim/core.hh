@@ -69,15 +69,8 @@ class Core final : public FillReceiver
     /** Total retired instructions since construction. */
     uint64_t retired() const { return retiredCount; }
 
-    /** Join an event-driven System (priority = tickAll() position). */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** Wake hint and gated-tick count (see TickEvent). */
+    const TickEvent &wake() const { return sched; }
 
     /**
      * Earliest future cycle a tick could retire, issue, or dispatch
@@ -166,7 +159,7 @@ class Core final : public FillReceiver
     uint32_t sqOccupancy = 0;
     Cycle frontendStallUntil = 0;
 
-    TickEvent<Core> sched;
+    TickEvent sched;
     Cycle lastTickCycle = 0;      ///< catch-up baseline
     bool issueBlockedOnL1d = false; ///< l1d rejected a send this tick
 

@@ -100,15 +100,8 @@ class Dram final : public MemoryDevice
      */
     double recentUtilization() const;
 
-    /** Join an event-driven System (priority = tickAll() position). */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** Wake hint and gated-tick count (see TickEvent). */
+    const TickEvent &wake() const { return sched; }
 
     /**
      * Earliest future cycle a tick could issue a command or deliver a
@@ -209,7 +202,7 @@ class Dram final : public MemoryDevice
     DramParams cfg;
     const Cycle *clock;
 
-    TickEvent<Dram> sched;
+    TickEvent sched;
 
     std::vector<Channel> channels;
     std::priority_queue<Completion, std::vector<Completion>,

@@ -11,38 +11,6 @@
 namespace gaze
 {
 
-namespace
-{
-
-// ---- Auto-engine policy knobs (all deterministic, all counted in ----
-// ---- cycles, so the adaptive schedule replays identically). ----
-
-/**
- * Executed cycles per event-dispatch measurement stint. Deliberately
- * short: on a dense workload every event-dispatched cycle costs a few
- * times a polled tick, and the startup stint is pure overhead until
- * the first flip — 1k cycles keeps that under ~3% even for tiny runs
- * while still sampling enough cycles for a stable skip fraction.
- */
-constexpr uint64_t kAutoEventStint = 1024;
-
-/** Stint skip fraction at or above which event dispatch is a win. */
-constexpr double kAutoSkipThreshold = 0.20;
-
-/** First polled stint length; doubles per failed event trial. */
-constexpr uint64_t kAutoPolledStintBase = 1ull << 16;
-
-/** Polled-stint backoff ceiling (~4.2M cycles). */
-constexpr uint64_t kAutoPolledStintMax = 1ull << 22;
-
-/** Polled stints probe component wakes every this many cycles. */
-constexpr uint64_t kAutoProbePeriod = 1024;
-
-/** Idle gap (cycles) that ends a polled stint early: flip to event. */
-constexpr uint64_t kAutoFlipGap = 256;
-
-} // namespace
-
 const char *
 engineKindName(EngineKind kind)
 {
@@ -51,8 +19,6 @@ engineKindName(EngineKind kind)
         return "event";
       case EngineKind::Polled:
         return "polled";
-      case EngineKind::Auto:
-        return "auto";
     }
     return "?";
 }
@@ -64,14 +30,12 @@ parseEngineKind(const std::string &name)
         return EngineKind::Event;
     if (name == "polled")
         return EngineKind::Polled;
-    if (name == "auto")
-        return EngineKind::Auto;
     GAZE_FATAL("unknown simulation engine '", name,
-               "' (known: event, polled, auto)");
+               "' (known: event, polled)");
 }
 
 System::System(const SystemConfig &config)
-    : cfg(config), autoPolledStintLen(kAutoPolledStintBase), vm(34)
+    : cfg(config), vm(34)
 {
     GAZE_ASSERT(cfg.numCores >= 1 && cfg.numCores <= 64, "bad core count");
     // Validate the replacement policy eagerly, before any cache is
@@ -151,22 +115,6 @@ System::System(const SystemConfig &config)
         cores.push_back(std::make_unique<Core>(cfg.core, c,
                                                l1ds.back().get(), &vm,
                                                &clock));
-    }
-
-    if (!threaded && cfg.engine != EngineKind::Polled) {
-        // Priorities reproduce tickAll()'s fixed order: all cores,
-        // then L1Ds, L2s, the LLC, DRAM last — so same-cycle events
-        // dispatch exactly as the polled engine ticks. The threaded
-        // loop leaves everything unbound (requestWake no-ops) and
-        // does its own wake bookkeeping in sliceWake.
-        int n = static_cast<int>(cfg.numCores);
-        for (uint32_t c = 0; c < cfg.numCores; ++c) {
-            cores[c]->bindScheduler(&eq, static_cast<int>(c));
-            l1ds[c]->bindScheduler(&eq, n + static_cast<int>(c));
-            l2s[c]->bindScheduler(&eq, 2 * n + static_cast<int>(c));
-        }
-        llcCache->bindScheduler(&eq, 3 * n);
-        dramCtrl->bindScheduler(&eq, 3 * n + 1);
     }
 
     if (threaded) {
@@ -259,12 +207,10 @@ System::bindObsCounters(obs::Registry *reg)
     reg->bindCounter(prefix + "." #f, &s.f);
 #define GAZE_OBS_CORE_STAT(f)
 #define GAZE_OBS_DRAM_STAT(f)
-#define GAZE_OBS_EVENT_STAT(f)
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
         reg->bindGauge(prefix + ".pqOccupancy",
                        [c] { return uint64_t(c->pqOccupancy()); });
         reg->bindGauge(prefix + ".mshrOccupancy",
@@ -278,12 +224,10 @@ System::bindObsCounters(obs::Registry *reg)
 #define GAZE_OBS_CORE_STAT(f)                                              \
     reg->bindCounter("core" + n + "." #f, &s.f);
 #define GAZE_OBS_DRAM_STAT(f)
-#define GAZE_OBS_EVENT_STAT(f)
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
         bindCache("l1d" + n, l1ds[c].get());
         bindCache("l2" + n, l2s[c].get());
     }
@@ -291,27 +235,23 @@ System::bindObsCounters(obs::Registry *reg)
 
     {
         const DramStats &s = dramCtrl->stats();
-        const EventQueueStats &q = eq.stats();
 #define GAZE_OBS_CACHE_STAT(f)
 #define GAZE_OBS_CORE_STAT(f)
 #define GAZE_OBS_DRAM_STAT(f) reg->bindCounter("dram." #f, &s.f);
-#define GAZE_OBS_EVENT_STAT(f) reg->bindCounter("eventq." #f, &q.f);
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
     }
 
     // Engine-speed counters: deterministic per engine kind, not
     // across kinds (cross-engine comparisons must filter "engine.*"
-    // and "eventq.*" out, exactly as EngineStats is excluded from the
-    // bitwise differential checks).
+    // out, exactly as EngineStats is excluded from the bitwise
+    // differential checks).
     reg->bindCounter("engine.cycle", &clock);
     reg->bindCounter("engine.executedCycles", &executedCycles);
-    reg->bindCounter("engine.dispatchedEvents", &dispatchedEvents);
-    reg->bindCounter("engine.flips", &statEngineFlips);
-    reg->bindCounter("engine.polledCycles", &statPolledCycles);
+    reg->bindGauge("engine.dispatchedEvents",
+                   [this] { return eventsDispatched(); });
 }
 
 void
@@ -335,7 +275,7 @@ System::setObsTrace(obs::TraceSink *sink, const std::string &label)
 }
 
 void
-System::obsStintSpan(const char *name, Cycle begin)
+System::obsPhaseSpan(const char *name, Cycle begin)
 {
     if (!obsTrace || clock < begin)
         return;
@@ -348,14 +288,23 @@ System::obsStintSpan(const char *name, Cycle begin)
 void
 System::tickComponents()
 {
+    // Each tick opens with its wake-hint gate; testing it here first
+    // makes a component whose hint lies ahead cost a compare, not a
+    // call. It is tested immediately before each tick, in tick order,
+    // because an earlier tick this cycle may lower a later hint.
     for (auto &c : cores)
-        c->tick();
+        if (c->wake().due(clock))
+            c->tick();
     for (auto &c : l1ds)
-        c->tick();
+        if (c->wake().due(clock))
+            c->tick();
     for (auto &c : l2s)
-        c->tick();
-    llcCache->tick();
-    dramCtrl->tick();
+        if (c->wake().due(clock))
+            c->tick();
+    if (llcCache->wake().due(clock))
+        llcCache->tick();
+    if (dramCtrl->wake().due(clock))
+        dramCtrl->tick();
 }
 
 void
@@ -364,83 +313,60 @@ System::tickAll()
     tickComponents();
     ++clock;
     ++executedCycles;
-    ++statPolledCycles;
     dispatchedEvents += 3 * uint64_t(cfg.numCores) + 2;
 }
 
-void
-System::scheduleAll()
-{
-    // Arm every component at the current cycle so a (re)started run
-    // considers it, exactly like the polled engine's unconditional
-    // first tickAll(). Anything already scheduled earlier keeps its
-    // slot; anything stranded in the past by a cycle-cap jump (or
-    // gone stale across an auto-engine polled stint) is pulled
-    // forward or superseded.
-    for (auto &c : cores)
-        c->wakeAt(clock);
-    for (auto &c : l1ds)
-        c->wakeAt(clock);
-    for (auto &c : l2s)
-        c->wakeAt(clock);
-    llcCache->wakeAt(clock);
-    dramCtrl->wakeAt(clock);
-}
-
 Cycle
-System::minNextWakeCycle() const
+System::minWakeHint() const
 {
-    Cycle m = kNeverWake;
+    Cycle m = llcCache->wake().hint();
+    m = std::min(m, dramCtrl->wake().hint());
     for (const auto &c : cores)
-        m = std::min(m, c->nextWakeCycle());
+        m = std::min(m, c->wake().hint());
     for (const auto &c : l1ds)
-        m = std::min(m, c->nextWakeCycle());
+        m = std::min(m, c->wake().hint());
     for (const auto &c : l2s)
-        m = std::min(m, c->nextWakeCycle());
-    m = std::min(m, llcCache->nextWakeCycle());
-    m = std::min(m, dramCtrl->nextWakeCycle());
+        m = std::min(m, c->wake().hint());
     return m;
 }
 
-template <typename DoneFn, typename PostCycleFn>
-System::LoopExit
-System::eventLoop(uint64_t cap, uint64_t exec_limit, DoneFn &&done,
-                  PostCycleFn &&post)
+uint64_t
+System::eventsDispatched() const
 {
-    scheduleAll();
-    uint64_t execBase = executedCycles;
+    if (cfg.engine == EngineKind::Polled || threadedActive())
+        return dispatchedEvents;
+    uint64_t n = llcCache->wake().ticks() + dramCtrl->wake().ticks();
+    for (uint32_t c = 0; c < cfg.numCores; ++c)
+        n += cores[c]->wake().ticks() + l1ds[c]->wake().ticks()
+             + l2s[c]->wake().ticks();
+    return n;
+}
+
+template <typename DoneFn, typename PostCycleFn>
+bool
+System::eventLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
+{
     while (!done()) {
-        if (executedCycles - execBase >= exec_limit)
-            return LoopExit::Stint;
-        Cycle next = eq.nextEventCycle();
-        if (next == EventQueue::kNoEvent) {
-            // Every component asleep with targets unmet: the polled
-            // engine would spin no-op cycles to the cap; jump there.
-            clock = cap;
-            return LoopExit::Capped;
-        }
-        if (next < clock) {
-            // A cycle flagged only by superseded entries (lazy
-            // deschedule): drain it without touching the clock.
-            size_t stale = eq.dispatchCycle(next);
-            GAZE_ASSERT(stale == 0, "live event behind the clock");
-            continue;
-        }
+        if (clock >= cap)
+            return false;
+        // Before the minimum hint every tick gate fails, so the polled
+        // engine would change nothing there (and done() cannot flip):
+        // jump straight to it.
+        Cycle next = minWakeHint();
         if (next >= cap) {
+            // Asleep past the cap, or wedged (kNeverWake with targets
+            // unmet): the polled engine would spin no-op cycles there.
             clock = cap;
-            return LoopExit::Capped;
+            return false;
         }
-        clock = next;
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(next););
-        size_t n = eq.dispatchCycle(next);
-        clock = next + 1;
-        if (n > 0) {
-            ++executedCycles;
-            dispatchedEvents += n;
-            post();
-        }
+        clock = std::max(clock, next);
+        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
+        tickComponents();
+        ++clock;
+        ++executedCycles;
+        post();
     }
-    return LoopExit::Done;
+    return true;
 }
 
 template <typename DoneFn, typename PostCycleFn>
@@ -455,119 +381,6 @@ System::polledLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
         post();
     }
     return true;
-}
-
-template <typename DoneFn, typename PostCycleFn>
-System::LoopExit
-System::polledStint(uint64_t cap, uint64_t stint_len, DoneFn &&done,
-                    PostCycleFn &&post)
-{
-    uint64_t ticked = 0;
-    while (true) {
-        if (done())
-            return LoopExit::Done;
-        if (clock >= cap)
-            return LoopExit::Capped;
-        if (ticked >= stint_len)
-            return LoopExit::Stint;
-
-        // Execute the cycle `clock` points at. The wake probe (every
-        // kAutoProbePeriod-th cycle) must run while the clock still
-        // names the cycle just ticked: nextWakeCycle() answers
-        // relative to now(), and post-tick it is always > now(), so a
-        // min over every component bounds the first future cycle any
-        // tick could matter — the same argument that makes the event
-        // engine's skips exact.
-        bool probe = (clock & (kAutoProbePeriod - 1)) == 0;
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
-        tickComponents();
-        Cycle wake = probe ? minNextWakeCycle() : 0;
-        ++clock;
-        ++executedCycles;
-        ++statPolledCycles;
-        ++ticked;
-        dispatchedEvents += 3 * uint64_t(cfg.numCores) + 2;
-        post();
-
-        if (probe) {
-            if (wake == kNeverWake) {
-                // Nothing will ever self-wake again: either the run
-                // just finished, or it is wedged — jump to the cap
-                // exactly as the event engine does.
-                if (done())
-                    return LoopExit::Done;
-                clock = cap;
-                return LoopExit::Capped;
-            }
-            if (wake > clock) {
-                uint64_t gap = wake - clock;
-                clock = std::min(wake, cap);
-                if (gap >= kAutoFlipGap) {
-                    // A real idle stretch: event dispatch will win.
-                    return LoopExit::Stint;
-                }
-            }
-        }
-    }
-}
-
-template <typename DoneFn, typename PostCycleFn>
-bool
-System::autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
-{
-    // Policy: run event-driven by default, measuring the skip
-    // fraction over fixed stints of executed cycles. A dense stint
-    // (skip < kAutoSkipThreshold) parks the event queue and ticks the
-    // polled way for autoPolledStintLen cycles — doubling per failed
-    // event re-trial so steady dense workloads pay the trial tax
-    // geometrically less often — while a periodic wake probe inside
-    // the polled stint still skips (and flips out of) genuinely idle
-    // stretches. Every transition is a function of executed-cycle
-    // counts only, so a given run always takes the same path.
-    [[maybe_unused]] Cycle stintBegin = clock;
-    while (true) {
-        if (!autoInPolled) {
-            eq.resume();
-            Cycle clockBase = clock;
-            uint64_t execBase = executedCycles;
-            LoopExit ex = eventLoop(cap, kAutoEventStint, done, post);
-            if (ex == LoopExit::Done || ex == LoopExit::Capped) {
-                GAZE_OBS_HOOK(obsStintSpan("event stint", stintBegin););
-                return ex == LoopExit::Done;
-            }
-            uint64_t delta = clock - clockBase;
-            uint64_t exec = executedCycles - execBase;
-            double skip =
-                delta ? double(delta - exec) / double(delta) : 0.0;
-            if (skip >= kAutoSkipThreshold) {
-                // Healthy skipping: stay event, forget the backoff.
-                autoPolledStintLen = kAutoPolledStintBase;
-                continue;
-            }
-            eq.suspend();
-            ++statEngineFlips;
-            GAZE_OBS_HOOK(obsStintSpan("event stint", stintBegin);
-                          stintBegin = clock;);
-            autoInPolled = true;
-        } else {
-            uint64_t stint = autoPolledStintLen;
-            autoPolledStintLen =
-                std::min(autoPolledStintLen * 2, kAutoPolledStintMax);
-            LoopExit ex = polledStint(cap, stint, done, post);
-            if (ex == LoopExit::Done || ex == LoopExit::Capped) {
-                GAZE_OBS_HOOK(obsStintSpan("polled stint", stintBegin););
-                return ex == LoopExit::Done;
-            }
-            // Stint over (or an idle gap opened): trial event mode.
-            // scheduleAll() at eventLoop entry re-arms every
-            // component, repairing whatever went stale in the queue
-            // while it was suspended.
-            ++statEngineFlips;
-            GAZE_OBS_HOOK(obsStintSpan("polled stint", stintBegin);
-                          stintBegin = clock;);
-            autoInPolled = false;
-        }
-    }
 }
 
 Cycle
@@ -652,8 +465,8 @@ System::threadedLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
         team = std::make_unique<SliceTeam>(
             std::min(cfg.simThreads, cfg.numCores));
     }
-    // Mirror scheduleAll(): the first cycle of a (re)started run
-    // considers every component unconditionally.
+    // The first cycle of a (re)started run considers every slice,
+    // exactly as the polled engine's first tickAll() does.
     std::fill(sliceWake.begin(), sliceWake.end(), clock);
     Cycle wake = clock;
 
@@ -698,11 +511,9 @@ System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
         return threadedLoop(cap, done, post);
     switch (cfg.engine) {
       case EngineKind::Event:
-        return eventLoop(cap, kNeverWake, done, post) == LoopExit::Done;
+        return eventLoop(cap, done, post);
       case EngineKind::Polled:
         return polledLoop(cap, done, post);
-      case EngineKind::Auto:
-        return autoLoop(cap, done, post);
     }
     return false;
 }
@@ -727,7 +538,7 @@ System::run(uint64_t instr_per_core)
     [[maybe_unused]] Cycle runBegin = clock;
     if (!driveLoop(cap, all_done, [] {}))
         GAZE_WARN("run() hit the cycle cap; simulation wedged?");
-    GAZE_OBS_HOOK(obsStintSpan("run", runBegin););
+    GAZE_OBS_HOOK(obsPhaseSpan("run", runBegin););
 }
 
 void
@@ -777,7 +588,7 @@ System::simulate(uint64_t instr_per_core)
     };
 
     driveLoop(cap, [&] { return remaining == 0; }, recordFinishers);
-    GAZE_OBS_HOOK(obsStintSpan("simulate", start););
+    GAZE_OBS_HOOK(obsPhaseSpan("simulate", start););
 
     if (remaining > 0)
         GAZE_WARN("simulate() hit the cycle cap with ", remaining,
@@ -801,9 +612,7 @@ System::engineStats() const
     s.cyclesTotal = clock;
     s.cyclesExecuted = executedCycles;
     s.cyclesSkipped = clock - executedCycles;
-    s.eventsDispatched = dispatchedEvents;
-    s.engineFlips = statEngineFlips;
-    s.polledCycles = statPolledCycles;
+    s.eventsDispatched = eventsDispatched();
     return s;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential engine-equivalence suite: the executable contract that
- * every way of advancing time — polled, event, auto (adaptive
- * mid-run flipping), and multi-threaded slices — produces bitwise
+ * every way of advancing time — polled, the wake-hint event loop, and
+ * multi-threaded slices — produces bitwise
  * identical architectural metrics, on randomized (workload,
  * prefetcher, cores, engine, threads) configurations, plus repeat-run
  * determinism. The polled engine is the reference; everything else is
@@ -224,44 +224,7 @@ TEST(EngineDiff, RandomConfigsAllEnginesMatchPolledBitwise)
     runDifferentialTrials(rng, /*trials=*/5, /*max_cores=*/2,
                           /*warmup=*/1000, /*sim=*/4000,
                           {{EngineKind::Event, 1},
-                           {EngineKind::Auto, 1},
                            {EngineKind::Event, 4}});
-}
-
-TEST(EngineDiff, AutoEngineFlipsOnDenseWorkloadAndStaysIdentical)
-{
-    EXPECT_TRUE(kScalePinned);
-    // leslie3d streams densely (near-zero skip): the auto engine must
-    // actually take its polled path here, or this test is vacuous.
-    DiffCase d;
-    d.mix = {findWorkload("leslie3d")};
-    d.pf.l1 = "gaze";
-    d.warmup = 2000;
-    d.sim = 8000;
-    d.label = "leslie3d dense";
-    RunResult ref = runCase(d, EngineKind::Polled, 1);
-    RunResult got = runCase(d, EngineKind::Auto, 1);
-    expectBitIdentical(got, ref, d.label);
-    EXPECT_GT(got.engine.engineFlips, 0u)
-        << "auto engine never flipped on a dense workload";
-    EXPECT_GT(got.engine.polledCycles, 0u);
-}
-
-TEST(EngineDiff, AutoEngineStaysEventOnIdleWorkloadAndStaysIdentical)
-{
-    EXPECT_TRUE(kScalePinned);
-    // canneal is a dependent-load chain: almost every cycle skippable,
-    // so the auto engine should never leave event dispatch.
-    DiffCase d;
-    d.mix = {findWorkload("canneal")};
-    d.warmup = 2000;
-    d.sim = 8000;
-    d.label = "canneal idle";
-    RunResult ref = runCase(d, EngineKind::Polled, 1);
-    RunResult got = runCase(d, EngineKind::Auto, 1);
-    expectBitIdentical(got, ref, d.label);
-    EXPECT_EQ(got.engine.engineFlips, 0u);
-    EXPECT_GT(got.engine.cyclesSkipped, got.engine.cyclesTotal / 2);
 }
 
 TEST(EngineDiff, ThreadedFourCoreMixMatchesEveryEngine)
@@ -279,8 +242,7 @@ TEST(EngineDiff, ThreadedFourCoreMixMatchesEveryEngine)
          std::vector<std::pair<EngineKind, uint32_t>>{
              {EngineKind::Event, 1},
              {EngineKind::Event, 4},
-             {EngineKind::Polled, 4},
-             {EngineKind::Auto, 4}}) {
+             {EngineKind::Polled, 4}}) {
         RunResult got = runCase(d, kind, threads);
         expectBitIdentical(got, ref,
                            d.label + " " + variantName(kind, threads));
@@ -301,7 +263,7 @@ TEST(EngineDiff, RepeatRunsAreBitwiseDeterministic)
     d.label = "repeat determinism";
     for (auto [kind, threads] :
          std::vector<std::pair<EngineKind, uint32_t>>{
-             {EngineKind::Event, 4}, {EngineKind::Auto, 1}}) {
+             {EngineKind::Event, 1}, {EngineKind::Event, 4}}) {
         RunResult a = runCase(d, kind, threads);
         RunResult b = runCase(d, kind, threads);
         expectBitIdentical(
@@ -367,9 +329,7 @@ TEST(EngineDiff, ObservationOnMatchesObservationOffBitwise)
              {EngineKind::Polled, 1},
              {EngineKind::Polled, 4},
              {EngineKind::Event, 1},
-             {EngineKind::Event, 4},
-             {EngineKind::Auto, 1},
-             {EngineKind::Auto, 4}}) {
+             {EngineKind::Event, 4}}) {
         RunResult off = runCase(d, kind, threads);
         obs::TraceSink sink;
         RunResult on =
@@ -396,12 +356,10 @@ TEST(EngineDiffDeep, ManyRandomConfigsAllEnginesMatchPolledBitwise)
     runDifferentialTrials(rng, /*trials=*/12, /*max_cores=*/4,
                           /*warmup=*/2000, /*sim=*/8000,
                           {{EngineKind::Event, 1},
-                           {EngineKind::Auto, 1},
                            {EngineKind::Event, 2},
                            {EngineKind::Event, 3},
                            {EngineKind::Event, 4},
-                           {EngineKind::Polled, 4},
-                           {EngineKind::Auto, 4}});
+                           {EngineKind::Polled, 4}});
 }
 
 } // namespace

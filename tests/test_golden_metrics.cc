@@ -365,7 +365,6 @@ TEST(GoldenMetrics, MultiCoreMixCellsPinnedPerEngine)
         };
         const Variant variants[] = {
             {"polled", EngineKind::Polled, 1},
-            {"auto", EngineKind::Auto, 1},
             {"event+threads", EngineKind::Event,
              uint32_t(mix.size())},
         };

@@ -190,8 +190,8 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
 
 /**
  * The timeline columns minus the engine-private and lazily-accounted
- * ones. Engine counters ("engine.*", "eventq.*") legitimately differ
- * across engines — the polled engine dispatches no events. The core
+ * ones. Engine counters ("engine.*") legitimately differ across
+ * engines — the polled engine executes every cycle. The core
  * stall-cycle counters are exempt too: Core::catchUpStallCounters
  * back-fills them when a sleeping core wakes, so mid-skip boundaries
  * read lower on the event engine than on the (eager) polled one; end
@@ -206,8 +206,8 @@ lazyColumn(const std::string &name)
         size_t n = std::char_traits<char>::length(s);
         return name.size() >= n && name.compare(name.size() - n, n, s) == 0;
     };
-    return name.rfind("engine.", 0) == 0 || name.rfind("eventq.", 0) == 0
-           || suffix(".robFullCycles") || suffix(".frontendStallCycles");
+    return name.rfind("engine.", 0) == 0 || suffix(".robFullCycles")
+           || suffix(".frontendStallCycles");
 }
 
 std::pair<std::vector<std::string>, std::vector<std::vector<uint64_t>>>
@@ -247,8 +247,7 @@ TEST(ObsTimeline, EnginesAgreeOnEveryArchitecturalColumn)
     };
     const Variant variants[] = {
         {EngineKind::Event, 1, "event"},
-        {EngineKind::Auto, 1, "auto"},
-        {EngineKind::Auto, 4, "auto/t4"},
+        {EngineKind::Event, 4, "event/t4"},
     };
     for (const auto &v : variants) {
         auto got = architecturalColumns(
@@ -258,13 +257,12 @@ TEST(ObsTimeline, EnginesAgreeOnEveryArchitecturalColumn)
     }
 }
 
-TEST(ObsTimeline, SamplerOnVsOffIdenticalUnderAutoThreaded)
+TEST(ObsTimeline, SamplerOnVsOffIdenticalUnderThreaded)
 {
     EXPECT_TRUE(kScalePinned);
-    // The satellite's exact configuration: --engine=auto
     // --sim-threads=4 with and without the sampler attached.
-    RunResult off = runObserved(EngineKind::Auto, 4, /*interval=*/0);
-    RunResult on = runObserved(EngineKind::Auto, 4, /*interval=*/512);
+    RunResult off = runObserved(EngineKind::Event, 4, /*interval=*/0);
+    RunResult on = runObserved(EngineKind::Event, 4, /*interval=*/512);
     EXPECT_TRUE(off.obsSamples.empty());
     EXPECT_FALSE(on.obsSamples.empty());
     EXPECT_EQ(on.ipc(), off.ipc());
