@@ -4,11 +4,9 @@
  * engines. Runs representative cells under the polled reference loop
  * and the wake-hint event engine, verifies their metrics are
  * bit-identical, and reports wall-clock speedup,
- * Minstr/s and the skipped-cycle fraction per cell. A 4-core mix
- * section additionally times the threaded engine (--sim-threads=4)
- * against the same mix single-threaded. Everything lands in
- * BENCH_engine.json — per-cell rows plus geomean/min aggregate rows
- * per engine column and the host CPU count, so the perf trajectory
+ * Minstr/s and the skipped-cycle fraction per cell. Everything lands
+ * in BENCH_engine.json — per-cell rows plus a geomean/min aggregate
+ * row and the host CPU count, so the perf trajectory
  * (and the host it was measured on) is recorded over time.
  *
  * The headline case is the low-MLP pointer chase (canneal): one
@@ -82,11 +80,10 @@ struct EngineRun
 };
 
 RunConfig
-configFor(EngineKind engine, uint32_t simThreads = 1)
+configFor(EngineKind engine)
 {
     RunConfig cfg;
     cfg.system.engine = engine;
-    cfg.system.simThreads = simThreads;
     return cfg; // phase lengths come from GAZE_SIM_SCALE
 }
 
@@ -137,7 +134,7 @@ jsonNumber(double v)
  * targeted scan (no general JSON parser in the tree) is enough: for
  * each "workload"/"prefetcher" pair, take the first "minstr_per_sec"
  * inside the following "polled" block. Cells whose next block is not
- * "polled" (the mix rows) are skipped.
+ * "polled" (the mix rows of older recordings) are skipped.
  *
  * Throughput only compares across like work on a like host, so every
  * @p fields entry must match the baseline's header, as
@@ -309,29 +306,23 @@ quickSmoke()
     GAZE_ASSERT(r.engine.cyclesSkipped > 0,
                 "a pointer chase must skip idle cycles");
 
-    // Cross-engine identity gate: every engine variant must reproduce
-    // the polled reference bit for bit, and checkIdentical dies with
-    // GAZE_FATAL if it ever does not. Single-core canneal x gaze
-    // covers polled/event; a 2-core mix covers the threaded fork/join
-    // path against its single-threaded twin.
+    // Cross-engine identity gate: the event engine must reproduce the
+    // polled reference bit for bit, and checkIdentical dies with
+    // GAZE_FATAL if it ever does not. Single-core canneal x gaze and a
+    // 2-core mix (shared LLC/DRAM traffic) are both checked.
     PfSpec gazePf;
     gazePf.l1 = "gaze";
-    std::vector<WorkloadDef> one = {findWorkload("canneal")};
-    RunResult polled = Runner(configFor(EngineKind::Polled))
-                           .runMix(one, gazePf);
-    checkIdentical(polled,
-                   Runner(configFor(EngineKind::Event))
-                       .runMix(one, gazePf),
-                   "canneal x gaze", "event");
-    std::vector<WorkloadDef> two = {findWorkload("canneal"),
-                                    findWorkload("mcf")};
-    checkIdentical(Runner(configFor(EngineKind::Event, 1))
-                       .runMix(two, gazePf),
-                   Runner(configFor(EngineKind::Event, 2))
-                       .runMix(two, gazePf),
-                   "canneal+mcf x gaze", "threaded(2)");
+    const std::vector<std::pair<std::string, std::vector<WorkloadDef>>>
+        mixes = {{"canneal x gaze", {findWorkload("canneal")}},
+                 {"canneal+mcf x gaze",
+                  {findWorkload("canneal"), findWorkload("mcf")}}};
+    for (const auto &[cell, mix] : mixes)
+        checkIdentical(
+            Runner(configFor(EngineKind::Polled)).runMix(mix, gazePf),
+            Runner(configFor(EngineKind::Event)).runMix(mix, gazePf),
+            cell, "event");
     std::printf("bench_engine quick: metrics identical across "
-                "polled/event and --sim-threads=2\n");
+                "polled/event (1- and 2-core)\n");
     return 0;
 }
 
@@ -354,12 +345,10 @@ main(int argc, char **argv)
         return quickSmoke();
 
     bench::banner("bench_engine",
-                  "polled vs event vs threaded engine throughput");
+                  "polled vs event engine throughput");
 
     unsigned hostCpus = std::thread::hardware_concurrency();
-    std::printf("host CPUs: %u (threaded wall-clock numbers need at "
-                "least as many cores as --sim-threads)\n\n",
-                hostCpus);
+    std::printf("host CPUs: %u\n\n", hostCpus);
 
     // Low-MLP pointer chases (big idle-skip win), a dense stream
     // (little to skip: the honest lower bound), and a mixed graph
@@ -441,46 +430,9 @@ main(int argc, char **argv)
                         geomean(ratios));
     }
 
-    // 4-core mixes: the threaded engine (--sim-threads=4) against the
-    // same mix on one thread. Cores interact only through the shared
-    // LLC/DRAM; identity is asserted, not assumed.
-    const uint32_t kMixThreads = 4;
-    std::vector<WorkloadDef> mix4 = {
-        findWorkload("canneal"), findWorkload("mcf"),
-        findWorkload("canneal"), findWorkload("mcf")};
-    struct MixCell
-    {
-        std::string prefetcher;
-        EngineRun one, threaded;
-    };
-    std::vector<MixCell> mixCells;
-    std::vector<double> threadedSpeedups;
-    std::printf("\n4-core mix canneal+mcf+canneal+mcf, event engine:\n");
-    for (const auto &pname : prefetchers) {
-        PfSpec pf;
-        if (pname != "none")
-            pf.l1 = pname;
-        MixCell m;
-        m.prefetcher = pname;
-        m.one = timedRun(configFor(EngineKind::Event, 1), mix4, pf);
-        m.threaded =
-            timedRun(configFor(EngineKind::Event, kMixThreads), mix4,
-                     pf);
-        checkIdentical(m.one.result, m.threaded.result,
-                       "mix4 x " + pname, "threaded(4)");
-        double st = m.one.bestSeconds / m.threaded.bestSeconds;
-        threadedSpeedups.push_back(st);
-        std::printf("  mix4 x %-6s | 1 thread %6.3fs | 4 threads "
-                    "%6.3fs | speedup %.2fx\n",
-                    pname.c_str(), m.one.bestSeconds,
-                    m.threaded.bestSeconds, st);
-        mixCells.push_back(std::move(m));
-    }
-
     std::printf("\nwall-clock speedups (metrics bit-identical on "
                 "every cell):\n");
     printAggregate("event vs polled", eventSpeedups);
-    printAggregate("4 threads vs 1", threadedSpeedups);
 
     JsonWriter j;
     j.beginObject();
@@ -502,24 +454,8 @@ main(int argc, char **argv)
         j.endObject();
     }
     j.endArray();
-    j.key("mix_cells").beginArray();
-    for (const auto &m : mixCells) {
-        j.beginObject();
-        j.field("workload", "canneal+mcf+canneal+mcf");
-        j.field("prefetcher", m.prefetcher);
-        j.field("cores", uint64_t(mix4.size()));
-        j.field("sim_threads", uint64_t(kMixThreads));
-        jsonEngineBlock(j, "one_thread", m.one);
-        jsonEngineBlock(j, "threaded", m.threaded);
-        j.field("wall_speedup",
-                m.one.bestSeconds / m.threaded.bestSeconds);
-        j.field("metrics_identical", true); // asserted fatally above
-        j.endObject();
-    }
-    j.endArray();
     j.key("aggregates").beginObject();
     jsonAggregate(j, "event", eventSpeedups);
-    jsonAggregate(j, "threaded_4core", threadedSpeedups);
     j.endObject();
     j.field("geomean_wall_speedup", geomean(eventSpeedups));
     j.endObject();

@@ -38,8 +38,8 @@ def load(path):
 
 def cell_throughputs(doc):
     """(workload, prefetcher, engine) -> minstr_per_sec for the
-    single-core cells. Mix cells are excluded: their wall time is
-    dominated by host thread scheduling, not simulator work."""
+    single-core cells. The threaded mix cells of older recordings
+    ("mix_cells") are ignored."""
     out = {}
     for cell in doc.get("cells", []):
         for engine in ("polled", "event"):

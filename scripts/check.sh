@@ -12,9 +12,8 @@
 #                           full `ctest` adds on top)
 #   4. smokes               registry JSON contract (registry_check.py),
 #                           trace record->validate->replay, campaign
-#                           cache, campaign service daemon
-#                           (serve_smoke.sh), engine throughput +
-#                           structure microbench, obs trace
+#                           cache, engine throughput + structure
+#                           microbench, obs trace
 #                           (validate_obs.py on a fresh --obs-trace)
 #   5. bench_compare        normal (non-sanitize) gate only: rerun the
 #                           full engine benchmark at the committed
@@ -117,12 +116,11 @@ cd "$BUILD_DIR"
 
 if [ "$TSAN" = 1 ]; then
     # The TSan gate is focused: the concurrency-labeled tests hammer
-    # the ThreadPool, the shared BaselineCache (incl. LRU eviction),
-    # two in-process campaign shards publishing into one cache dir,
-    # and the campaign service (multi-client dedup + the socket
-    # daemon end to end). Simulation-heavy
-    # tier1 tests run 10-20x slower under TSan and exercise no
-    # threading the stress tests don't; the address gate covers them.
+    # the ThreadPool, the shared BaselineCache (incl. LRU eviction)
+    # and two in-process campaign shards publishing into one cache
+    # dir. Simulation-heavy tier1 tests run 10-20x slower under TSan
+    # and exercise no threading the stress tests don't; the address
+    # gate covers them.
     ctest -L concurrency --output-on-failure --stop-on-failure
     echo "check.sh: TSan gate passed"
     exit 0
@@ -159,19 +157,11 @@ GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
 GAZE_SIM_SCALE=0.02 sh ../scripts/campaign_smoke.sh \
     ./src/gaze_campaign check_campaign
 
-# Campaign service smoke: a real daemon on a temp socket must answer
-# a submit with bytes identical to the offline pipeline, serve a
-# resubmit from cache (enqueued=0), answer status on both producers,
-# and drain cleanly on SIGTERM (serve_smoke.sh asserts each stage).
-GAZE_SIM_SCALE=0.02 sh ../scripts/serve_smoke.sh \
-    ./src/gaze_serve ./src/gaze_campaign check_serve \
-    ../scripts/validate_obs.py
-
 # Engine throughput smoke: one short event-engine cell must simulate
 # at a positive Minstr/s (asserted inside the binary, printed here so
 # the gate records the number) and skip idle cycles, and the quick
-# mode's cross-engine identity gate (polled == event == threaded)
-# dies fatally on any mismatch. No pipeline: the binary's
+# mode's cross-engine identity gate (polled == event) dies fatally on
+# any mismatch. No pipeline: the binary's
 # exit status must reach set -e.
 GAZE_SIM_SCALE=0.02 ./bench/bench_engine --quick > engine_smoke.txt
 cat engine_smoke.txt
@@ -185,11 +175,11 @@ grep -q "metrics identical" engine_smoke.txt
 grep -q "MshrTable find (hit)" micro_smoke.txt
 grep -q "LruTable insert" micro_smoke.txt
 
-# Default + threaded engine smoke through the real CLI: the default
-# (event) engine must run a sparse and a dense workload end to end
-# and report its stats, and a 4-core mix must run on a 4-thread slice
-# team (bit-identity is the differential suite's job; this proves the
-# flags work from the binary).
+# Default engine smoke through the real CLI: the default (event)
+# engine must run a sparse and a dense workload end to end and report
+# its stats, and a 4-core mix must run end to end (bit-identity is the
+# differential suite's job; this proves the flags work from the
+# binary).
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=canneal,leslie3d \
     --warmup=2000 --sim=8000 --engine-stats \
@@ -198,8 +188,8 @@ cat engine_default_smoke.txt
 grep -q "engine: event |" engine_default_smoke.txt
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=mcf \
-    --cores=4 --sim-threads=4 --warmup=1000 --sim=4000 \
-    --out=engine_threaded_smoke.json
+    --cores=4 --warmup=1000 --sim=4000 \
+    --out=engine_4core_smoke.json
 
 # Observability smoke: one matrix with the tracer and sampler on must
 # leave a valid Chrome-trace JSON (validate_obs.py pins the span

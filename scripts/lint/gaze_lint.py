@@ -14,10 +14,10 @@ and fails the build when a change breaks one statically:
                          metrics, tables) — iteration order would leak
   pointer-order          ordering or hashing raw pointer values —
                          allocator-dependent, differs run to run
-  raw-thread             std::thread/std::jthread outside the two
-                         sanctioned shims (driver/thread_pool.hh and
-                         sim/threaded.{hh,cc}) — ad-hoc threads are
-                         where nondeterminism and leaked joins start
+  raw-thread             std::thread/std::jthread outside the one
+                         sanctioned shim (driver/thread_pool.hh) —
+                         ad-hoc threads are where nondeterminism and
+                         leaked joins start
   hot-container          std::unordered_map/std::map/std::list inside
                          src/sim/ or src/prefetchers/ — node-based or
                          rehashing containers on the per-access hot
@@ -35,13 +35,6 @@ and fails the build when a change breaks one statically:
                          GAZE_OBS_*_STAT entry in obs/stat_names.inc —
                          the obs registry (and every --obs-timeline
                          column) would silently miss the counter
-  serve-isolation        layering between the simulator and the
-                         gaze_serve daemon: sim/core/prefetchers/
-                         harness must never include serve/ headers
-                         (the service depends on the simulator, not
-                         the reverse), and serve/ must not include
-                         host-time headers directly — daemon timing
-                         goes through harness/wallclock.hh
 
 Findings print as `file:line: [rule-id] message` and make the exit
 status 1. A finding can be suppressed where the code is genuinely
@@ -233,10 +226,9 @@ def rule_pointer_order(sf):
         "stable id instead")
 
 
-# The sanctioned homes for raw threads: the task pool that runs
-# matrix/campaign cells, and the slice team behind --sim-threads.
-RAW_THREAD_SHIMS = re.compile(
-    r"(driver/thread_pool\.(hh|cc)|sim/threaded\.(hh|cc))$")
+# The sanctioned home for raw threads: the task pool that runs
+# matrix/campaign cells.
+RAW_THREAD_SHIMS = re.compile(r"driver/thread_pool\.(hh|cc)$")
 
 RAW_THREAD_RE = re.compile(r"\bstd::(thread|jthread)\b")
 
@@ -246,10 +238,9 @@ def rule_raw_thread(sf):
         return
     yield from grep_rule(
         sf, "raw-thread", [RAW_THREAD_RE],
-        "'%s' uses a raw thread outside the sanctioned shims; go "
-        "through driver/thread_pool.hh (task parallelism) or "
-        "sim/threaded.hh (the cycle-lockstep slice team) so joins, "
-        "exception capture and determinism stay centralized")
+        "'%s' uses a raw thread outside the sanctioned shim; go "
+        "through driver/thread_pool.hh so joins, exception capture "
+        "and determinism stay centralized")
 
 
 # The per-access hot path: every simulated memory reference walks
@@ -412,41 +403,6 @@ def rule_obs_direct_mutation(files):
                 "registry binds it" % (name, OBS_MANIFEST, name))
 
 
-# Layering around the gaze_serve daemon: the simulator proper (and the
-# harness it rests on) must stay linkable and testable without the
-# service; serve/ sits on top. And serve/, being long-running host
-# code, is the most tempting place to reach for <chrono> — which the
-# wall-clock rule would only catch at the call site, after the include
-# already normalized it. Ban the includes themselves.
-SERVE_PROTECTED_DIRS = re.compile(r"(^|/)src/(sim|core|prefetchers|harness)/")
-SERVE_DIR = re.compile(r"(^|/)src/serve/")
-SERVE_INCLUDE_RE = re.compile(r"^\s*#\s*include\s*\"serve/")
-SERVE_HOST_TIME_INCLUDE_RE = re.compile(
-    r"^\s*#\s*include\s*[<\"](chrono|ctime|time\.h|sys/time\.h)[>\"]")
-
-
-def rule_serve_isolation(sf):
-    """Scans raw lines: grep_rule skips #include lines by design, and
-    the stripped text blanks the quoted include path anyway."""
-    if SERVE_PROTECTED_DIRS.search(sf.relpath):
-        for lineno, line in enumerate(sf.raw_lines, 1):
-            if SERVE_INCLUDE_RE.match(line):
-                yield Finding(
-                    sf.relpath, lineno, "serve-isolation",
-                    "'%s' pulls the service layer into the simulator "
-                    "core; serve/ may include sim/core/prefetchers/"
-                    "harness, never the reverse" % line.strip())
-    elif SERVE_DIR.search(sf.relpath):
-        for lineno, line in enumerate(sf.raw_lines, 1):
-            if SERVE_HOST_TIME_INCLUDE_RE.match(line):
-                yield Finding(
-                    sf.relpath, lineno, "serve-isolation",
-                    "'%s' reads host time directly in the service "
-                    "layer; route timing through harness/wallclock.hh "
-                    "(WallTimer / hostNowUs) so daemon timing stays "
-                    "shimmed and testable" % line.strip())
-
-
 PER_FILE_RULES = [
     ("wall-clock", rule_wall_clock,
      "host clock/entropy outside harness/wallclock.hh"),
@@ -455,15 +411,13 @@ PER_FILE_RULES = [
     ("pointer-order", rule_pointer_order,
      "ordering or hashing raw pointer values"),
     ("raw-thread", rule_raw_thread,
-     "std::thread outside thread_pool.hh / sim/threaded.*"),
+     "std::thread outside driver/thread_pool.hh"),
     ("hot-container", rule_hot_container,
      "node-based/rehashing std container in sim/ or prefetchers/"),
     ("using-namespace-header", rule_using_namespace_header,
      "`using namespace` at header scope"),
     ("pragma-once", rule_pragma_once,
      "header missing `#pragma once`"),
-    ("serve-isolation", rule_serve_isolation,
-     "core including serve/, or serve/ reading host time directly"),
 ]
 
 TREE_RULES = [

@@ -93,22 +93,6 @@ class ViolationFixtures(unittest.TestCase):
                 self.assertNotEqual((path, line),
                                     ("src/prefetchers/orphan.cc", 6))
 
-    def test_serve_isolation_core_including_serve(self):
-        self.assert_found("src/sim/uses_serve.cc", 3,
-                          "serve-isolation")
-
-    def test_serve_isolation_host_time_in_serve(self):
-        self.assert_found("src/serve/host_clock.cc", 3,
-                          "serve-isolation")
-        self.assert_found("src/serve/host_clock.cc", 4,
-                          "serve-isolation")
-
-    def test_serve_including_serve_is_clean(self):
-        # serve/ including its own headers (host_clock.cc line 5) is
-        # normal layering; only the time headers may fire there.
-        self.assertNotIn(("src/serve/host_clock.cc", 5,
-                          "serve-isolation"), self.findings)
-
     def test_obs_direct_mutation(self):
         self.assert_found("src/sim/cache.cc", 8, "obs-direct-mutation")
 
@@ -140,9 +124,6 @@ class ViolationFixtures(unittest.TestCase):
             ("src/prefetchers/orphan.cc", 5, "register-anchor"),
             ("src/prefetchers/registry.cc", 9, "register-anchor"),
             ("src/sim/cache.cc", 8, "obs-direct-mutation"),
-            ("src/sim/uses_serve.cc", 3, "serve-isolation"),
-            ("src/serve/host_clock.cc", 3, "serve-isolation"),
-            ("src/serve/host_clock.cc", 4, "serve-isolation"),
         ]))
 
 
@@ -156,9 +137,6 @@ class Suppressions(unittest.TestCase):
         findings = lint("suppressed")
         self.assertNotIn(
             "src/harness/timed.cc", [path for path, _, _ in findings])
-        self.assertNotIn(
-            "src/serve/justified_time.cc",
-            [path for path, _, _ in findings])
         self.assertNotIn(
             "src/sim/justified_map.cc",
             [path for path, _, _ in findings])

@@ -14,9 +14,9 @@
  *
  * The building blocks are public: expandCampaignJobs() yields the
  * deterministic deduplicated job list and executeCampaignJob() runs a
- * single job, so callers that need incremental per-cell execution
- * (gaze_serve's scheduler) compose them directly instead of going
- * through run-to-completion runCampaign().
+ * single job, so callers that time or schedule cells one at a time
+ * (perfbench) compose them directly instead of going through
+ * run-to-completion runCampaign().
  */
 
 #pragma once
@@ -52,9 +52,8 @@ struct CampaignJob
  * are the jobs every comparison needs), then cells in expansion order,
  * each hash at most once (a spec that lists the same workload or core
  * count twice expands to duplicate cells; running both would race on
- * one cache file). Shards and the serve scheduler both derive their
- * assignment from this sequence, so the dedup happens here, before any
- * partitioning.
+ * one cache file). Shards derive their assignment from this
+ * sequence, so the dedup happens here, before any partitioning.
  */
 std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
 

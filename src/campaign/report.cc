@@ -380,24 +380,17 @@ campaignStatus(const Campaign &campaign, const ResultCache &cache)
     return status;
 }
 
-void
-writeCampaignStatusFields(JsonWriter &j, const std::string &name,
-                          const CampaignCacheStatus &status)
-{
-    j.key("campaign").value(name);
-    j.key("schema").value(uint64_t(kCellSchemaVersion));
-    j.key("total").value(status.cached + status.missing);
-    j.key("cached").value(status.cached);
-    j.key("missing").value(status.missing);
-}
-
 std::string
 campaignStatusJson(const Campaign &campaign, const ResultCache &cache)
 {
     CampaignCacheStatus status = campaignStatus(campaign, cache);
     JsonWriter j;
     j.beginObject();
-    writeCampaignStatusFields(j, campaign.spec.name, status);
+    j.key("campaign").value(campaign.spec.name);
+    j.key("schema").value(uint64_t(kCellSchemaVersion));
+    j.key("total").value(status.cached + status.missing);
+    j.key("cached").value(status.cached);
+    j.key("missing").value(status.missing);
     j.key("cache_dir").value(cache.directory());
     j.endObject();
     return j.str();

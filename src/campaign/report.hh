@@ -68,19 +68,11 @@ struct CampaignCacheStatus
 CampaignCacheStatus campaignStatus(const Campaign &campaign,
                                    const ResultCache &cache);
 
-class JsonWriter;
-
 /**
- * Append the machine-readable status fields shared by `gaze_campaign
- * status --json` and the gaze_serve status event, inside an object the
- * caller has opened: campaign name, cell-record schema version, and
- * total/cached/missing job counts. One shape, two producers — scripts
- * parse either without caring which answered.
+ * The one-line document for `gaze_campaign status --json`: campaign
+ * name, cell-record schema version, total/cached/missing job counts
+ * and the cache directory.
  */
-void writeCampaignStatusFields(JsonWriter &j, const std::string &name,
-                               const CampaignCacheStatus &status);
-
-/** The complete one-line document for `gaze_campaign status --json`. */
 std::string campaignStatusJson(const Campaign &campaign,
                                const ResultCache &cache);
 

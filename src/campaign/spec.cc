@@ -1,15 +1,10 @@
 #include "campaign/spec.hh"
 
-#include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <set>
 
 #include "common/log.hh"
 #include "harness/cell_key.hh"
 #include "prefetchers/registry.hh"
-#include "tracing/trace_io.hh"
 
 namespace gaze
 {
@@ -64,15 +59,9 @@ parseCampaignSpec(const JsonValue &root)
                 GAZE_FATAL("campaign spec: \"cores\" must be a "
                            "non-empty array of core counts");
             spec.coreCounts.clear();
-            for (const auto &item : v.items()) {
-                uint64_t n = item.asCount("campaign spec: cores entry",
-                                          256);
-                if (n < 1)
-                    GAZE_FATAL("campaign spec: cores entry must be "
-                               ">= 1");
-                spec.coreCounts.push_back(
-                    static_cast<uint32_t>(n));
-            }
+            for (const auto &item : v.items())
+                spec.coreCounts.push_back(checkedCoreCount(
+                    item.asCount("campaign spec: cores entry")));
         } else if (key == "warmup") {
             spec.run.warmupInstr =
                 v.asCount("campaign spec: warmup");
@@ -180,260 +169,6 @@ Campaign
 loadCampaign(const std::string &path)
 {
     return expandCampaign(parseCampaignSpec(parseJsonFile(path)));
-}
-
-// ------------------------------------------- non-fatal preflight
-//
-// gaze_serve hands client-supplied documents to parseCampaignSpec +
-// expandCampaign, which exit the process on any problem. These checks
-// mirror that validation non-fatally and must stay at least as strict:
-// a document that passes here must never reach a GAZE_FATAL in the
-// parser or the expansion.
-
-namespace
-{
-
-/** Mirror of registry.cc's strict Uint option parse, non-fatally. */
-std::string
-checkUintOption(const PrefetcherDescriptor &desc, const OptionSchema &os,
-                const std::string &value)
-{
-    bool digitsOnly = !value.empty();
-    for (char c : value)
-        digitsOnly = digitsOnly && c >= '0' && c <= '9';
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (!digitsOnly || (end && *end != '\0') || errno == ERANGE)
-        return "prefetcher '" + std::string(desc.name) + "': option '"
-               + os.name + "' wants an unsigned integer, got '" + value
-               + "'";
-    if (n < os.min || n > os.max)
-        return "prefetcher '" + std::string(desc.name) + "': option '"
-               + os.name + "' out of range: " + std::to_string(n)
-               + " (want " + std::to_string(os.min) + ".."
-               + std::to_string(os.max) + ")";
-    if (os.pow2 && n != 0 && (n & (n - 1)) != 0)
-        return "prefetcher '" + std::string(desc.name) + "': option '"
-               + os.name + "' must be a power of two, got "
-               + std::to_string(n);
-    return "";
-}
-
-std::string
-checkStringArray(const JsonValue &v, const char *what,
-                 std::vector<std::string> *out)
-{
-    if (!v.isArray())
-        return std::string("\"") + what
-               + "\" must be an array of strings";
-    for (const auto &item : v.items()) {
-        if (!item.isString())
-            return std::string("\"") + what
-                   + "\" must contain only strings";
-        out->push_back(item.asString());
-    }
-    if (out->empty())
-        return std::string("\"") + what + "\" must not be empty";
-    return "";
-}
-
-std::string
-checkCount(const JsonValue &v, const char *what, uint64_t max)
-{
-    if (!v.isNumber())
-        return std::string(what) + " must be a number";
-    double d = v.asNumber();
-    if (!(d >= 0) || d != std::floor(d) || d > 9.007199254740992e15)
-        return std::string(what) + " must be a non-negative integer";
-    if (static_cast<uint64_t>(d) > max)
-        return std::string(what) + " out of range (max "
-               + std::to_string(max) + ")";
-    return "";
-}
-
-} // namespace
-
-std::string
-checkPrefetcherSpecText(const std::string &text)
-{
-    if (text.empty() || text == "none")
-        return "";
-
-    // Token walk identical to the registry's splitSpec: the scheme
-    // name up to the first ':', then ':'-separated key[=value] tokens.
-    size_t pos = text.find(':');
-    std::string name = text.substr(0, pos);
-    const PrefetcherDescriptor *desc =
-        PrefetcherRegistry::instance().find(name);
-    if (!desc)
-        return "unknown prefetcher '" + name + "' in spec '" + text
-               + "' (see gaze_sim --list-prefetchers)";
-
-    std::set<std::string> seen;
-    while (pos != std::string::npos) {
-        size_t next = text.find(':', pos + 1);
-        std::string tok =
-            text.substr(pos + 1, next == std::string::npos
-                                     ? std::string::npos
-                                     : next - pos - 1);
-        pos = next;
-        size_t eq = tok.find('=');
-        bool hasValue = eq != std::string::npos;
-        std::string key = hasValue ? tok.substr(0, eq) : tok;
-        std::string value = hasValue ? tok.substr(eq + 1) : "";
-
-        const OptionSchema *os = desc->findOption(key);
-        if (!os)
-            return "prefetcher '" + std::string(desc->name)
-                   + "': unknown option '" + key + "' in spec '" + text
-                   + "'";
-        if (!seen.insert(os->name).second)
-            return "prefetcher '" + std::string(desc->name)
-                   + "': option '" + os->name + "' given twice in spec '"
-                   + text + "'";
-        switch (os->type) {
-          case OptionType::Flag: {
-            if (hasValue)
-                return "prefetcher '" + std::string(desc->name)
-                       + "': option '" + os->name
-                       + "' is a flag and takes no value";
-            break;
-          }
-          case OptionType::Uint: {
-            if (!hasValue)
-                return "prefetcher '" + std::string(desc->name)
-                       + "': option '" + os->name + "' needs =N";
-            std::string err = checkUintOption(*desc, *os, value);
-            if (!err.empty())
-                return err;
-            break;
-          }
-          case OptionType::Enum: {
-            if (!hasValue)
-                return "prefetcher '" + std::string(desc->name)
-                       + "': option '" + os->name + "' needs =VALUE";
-            if (std::find(os->enumValues.begin(), os->enumValues.end(),
-                          value)
-                == os->enumValues.end())
-                return "prefetcher '" + std::string(desc->name)
-                       + "': unknown value '" + value + "' for option '"
-                       + os->name + "'";
-            break;
-          }
-        }
-    }
-    return "";
-}
-
-std::string
-checkCampaignSpecDoc(const JsonValue &root)
-{
-    if (!root.isObject())
-        return "campaign spec: document must be a JSON object";
-
-    std::string name;
-    std::vector<std::string> prefetchers, suites, workloadNames, levels;
-    std::string traceDir;
-    for (const auto &member : root.members()) {
-        const std::string &key = member.first;
-        const JsonValue &v = member.second;
-        std::string err;
-        if (key == "name") {
-            if (!v.isString() || v.asString().empty())
-                return "campaign spec: \"name\" must be a non-empty "
-                       "string";
-            name = v.asString();
-        } else if (key == "prefetchers") {
-            err = checkStringArray(v, "prefetchers", &prefetchers);
-        } else if (key == "suites") {
-            err = checkStringArray(v, "suites", &suites);
-        } else if (key == "workloads") {
-            err = checkStringArray(v, "workloads", &workloadNames);
-        } else if (key == "levels") {
-            err = checkStringArray(v, "levels", &levels);
-        } else if (key == "cores") {
-            if (!v.isArray() || v.items().empty())
-                return "campaign spec: \"cores\" must be a non-empty "
-                       "array of core counts";
-            for (const auto &item : v.items()) {
-                err = checkCount(item, "cores entry", 256);
-                if (!err.empty())
-                    return "campaign spec: " + err;
-                if (item.asNumber() < 1)
-                    return "campaign spec: cores entry must be >= 1";
-            }
-        } else if (key == "warmup" || key == "sim") {
-            err = checkCount(v, key.c_str(),
-                             static_cast<uint64_t>(-1));
-        } else if (key == "trace_dir") {
-            if (!v.isString() || v.asString().empty())
-                return "campaign spec: \"trace_dir\" must be a "
-                       "non-empty string";
-            traceDir = v.asString();
-        } else {
-            return "campaign spec: unknown key \"" + key + "\" (typo?)";
-        }
-        if (!err.empty())
-            return "campaign spec: " + err;
-    }
-    if (name.empty())
-        return "campaign spec: missing required \"name\"";
-    if (prefetchers.empty())
-        return "campaign spec: missing required \"prefetchers\"";
-
-    for (const auto &pf : prefetchers) {
-        std::string err = checkPrefetcherSpecText(pf);
-        if (!err.empty())
-            return "campaign spec: " + err;
-    }
-    for (const auto &level : levels)
-        if (level != "l1" && level != "l2")
-            return "campaign spec: unknown attach level '" + level
-                   + "' (want l1 or l2)";
-
-    // Resolve the workload axis exactly as expandCampaign will.
-    std::set<std::string> knownWorkloads, knownSuites;
-    for (const auto &w : allWorkloads()) {
-        knownWorkloads.insert(w.name);
-        knownSuites.insert(w.suite);
-    }
-    knownSuites.insert("qmm"); // matches qmm_server + qmm_client
-    std::vector<std::string> resolved;
-    if (!workloadNames.empty()) {
-        for (const auto &w : workloadNames) {
-            if (!knownWorkloads.count(w))
-                return "campaign spec: unknown workload '" + w + "'";
-            resolved.push_back(w);
-        }
-        for (const auto &s : suites)
-            if (!knownSuites.count(s))
-                return "campaign spec: unknown suite '" + s + "'";
-    } else {
-        std::vector<std::string> useSuites =
-            suites.empty() ? mainSuites() : suites;
-        for (const auto &s : useSuites) {
-            if (!knownSuites.count(s))
-                return "campaign spec: unknown suite '" + s + "'";
-            for (const auto &w : suiteWorkloads(s))
-                resolved.push_back(w.name);
-        }
-    }
-
-    if (!traceDir.empty()) {
-        std::string base = traceDir;
-        if (base.back() != '/')
-            base += '/';
-        for (const auto &w : resolved) {
-            std::string path = base + traceFileName(w);
-            std::string err;
-            if (!probeTraceFile(path, nullptr, &err))
-                return "campaign spec: workload '" + w
-                       + "' has no usable trace in '" + traceDir
-                       + "': " + err;
-        }
-    }
-    return "";
 }
 
 } // namespace gaze

@@ -96,23 +96,6 @@ struct Campaign
 CampaignSpec parseCampaignSpec(const JsonValue &root);
 
 /**
- * Non-fatal preflight of @p root: empty string when parseCampaignSpec
- * would accept it, else the first problem found, phrased for a client.
- * Long-running services (gaze_serve) must call this before handing a
- * client-supplied document to the fatal parser — it is kept at least
- * as strict as parseCampaignSpec + expansion for every axis, so a
- * document that passes here cannot kill the daemon.
- */
-std::string checkCampaignSpecDoc(const JsonValue &root);
-
-/**
- * Non-fatal validation of one prefetcher factory spec string against
- * the registry (scheme known, options declared, values typed/ranged).
- * Empty string when canonicalPrefetcherSpec would accept it.
- */
-std::string checkPrefetcherSpecText(const std::string &text);
-
-/**
  * Expand the axes into cells and deduplicated baselines, resolving
  * trace_dir replay and computing every cache key. Deterministic: the
  * same spec (and scale) always yields the same cells in the same

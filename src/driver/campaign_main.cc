@@ -133,8 +133,8 @@ cmdStatus(const GazeCampaignOptions &opt)
     ResultCache cache(opt.cacheDir);
     CampaignCacheStatus status = campaignStatus(campaign, cache);
     if (opt.jsonOutput) {
-        // Machine-readable line sharing its shape with the daemon's
-        // per-submission status entries; exit code still says missing.
+        // One machine-readable line; the exit code still says
+        // whether cells are missing.
         std::printf("%s\n",
                     campaignStatusJson(campaign, cache).c_str());
         return status.missing ? 2 : 0;

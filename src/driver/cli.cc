@@ -27,17 +27,14 @@ const char *gazeSimUsageText =
     "                         (recorded by gaze_trace) instead of\n"
     "                         regenerating them\n"
     "  --level=l1|l2          prefetcher attach level (default: l1)\n"
-    "  --cores=N              homogeneous cores per cell (default: 1)\n"
+    "  --cores=N              homogeneous cores per cell, a power of\n"
+    "                         two up to 64 (default: 1)\n"
     "  --threads=N            worker threads (default: hardware)\n"
     "  --engine=event|polled\n"
     "                         simulation engine (default: event, which\n"
     "                         jumps idle cycles via the components'\n"
     "                         wake hints; polled is the metrics-\n"
     "                         identical tick-every-cycle reference)\n"
-    "  --sim-threads=N        threads per simulated System; with\n"
-    "                         multi-core cells (--cores>1) the cores\n"
-    "                         run on a worker team, bit-identical to\n"
-    "                         --sim-threads=1 (default: 1)\n"
     "  --engine-stats         print per-cell simulation speed\n"
     "                         (Minstr/s, skipped cycles, events, late\n"
     "                         prefetches) after the matrix; the JSON\n"
@@ -131,51 +128,6 @@ const char *gazeCampaignUsageText =
     "\n"
     "A killed run resumes cleanly: finished cells are published to\n"
     "the cache atomically and are skipped on the next run.\n";
-
-const char *gazeServeUsageText =
-    "usage: gaze_serve <command> [options]\n"
-    "\n"
-    "Long-running campaign service: a daemon that keeps the result\n"
-    "cache, shared baselines and trace corpus warm and answers\n"
-    "campaign submissions from many concurrent clients over a local\n"
-    "Unix socket. Every cell is simulated at most once, ever —\n"
-    "overlapping submissions share in-flight work, repeats are pure\n"
-    "cache hits — and a daemon report is byte-identical to the\n"
-    "offline gaze_campaign run for the same spec.\n"
-    "\n"
-    "commands:\n"
-    "  daemon    serve submissions on --socket until SIGTERM/SIGINT,\n"
-    "            then drain in-flight cells and exit 0\n"
-    "  submit    send a campaign spec to a running daemon, stream\n"
-    "            progress, write the report when it arrives\n"
-    "  status    print the daemon's one-line status JSON on stdout\n"
-    "  shutdown  ask the daemon to drain and exit\n"
-    "  --bench   in-process throughput probe (no daemon needed);\n"
-    "            writes BENCH_serve.json with cold/warm cells-per-sec\n"
-    "\n"
-    "daemon options:\n"
-    "  --socket=PATH       Unix socket to listen on (required)\n"
-    "  --cache-dir=DIR     result cache (default: campaign_cache)\n"
-    "  --threads=N         sim workers (default: hardware)\n"
-    "  --max-queued=N      admission: max distinct cells queued or\n"
-    "                      running at once (default: 4096)\n"
-    "  --max-inflight=N    admission: max unfinished submissions per\n"
-    "                      client (default: 8)\n"
-    "  --obs-trace=FILE    write a Chrome-trace JSON of queue-wait /\n"
-    "                      execute spans on drain\n"
-    "  --verbose           per-submission log lines on stderr\n"
-    "\n"
-    "submit options:\n"
-    "  --socket=PATH       daemon socket (required)\n"
-    "  --spec=FILE         campaign spec JSON (required)\n"
-    "  --priority=N        scheduling priority, higher first; may be\n"
-    "                      negative (default: 0)\n"
-    "  --out=FILE          report path (default: BENCH_<name>.json)\n"
-    "  --csv=FILE          also write the per-suite CSV here\n"
-    "  --quiet             no progress events on stderr\n"
-    "\n"
-    "exit codes: 0 ok, 3 submission rejected (admission control or\n"
-    "spec errors), 4 a cell failed, 5 connection/protocol trouble.\n";
 
 /** Split "--key=value" (value empty when no '='). */
 void
@@ -315,16 +267,12 @@ parseGazeSimArgs(const std::vector<std::string> &args)
         } else if (key == "--level") {
             opt.spec.level = val;
         } else if (key == "--cores") {
-            opt.spec.cores =
-                static_cast<uint32_t>(parseCount(key, val, 256));
+            opt.spec.cores = checkedCoreCount(parseCount(key, val));
         } else if (key == "--threads") {
             opt.spec.threads =
                 static_cast<uint32_t>(parseCount(key, val, 4096));
         } else if (key == "--engine") {
             opt.spec.run.system.engine = parseEngineKind(val);
-        } else if (key == "--sim-threads") {
-            opt.spec.run.system.simThreads =
-                static_cast<uint32_t>(parseCount(key, val, 64));
         } else if (key == "--engine-stats") {
             opt.engineStats = true;
         } else if (key == "--obs-timeline") {
@@ -546,124 +494,6 @@ parseGazeCampaignArgs(const std::vector<std::string> &args)
     if (!opt.obsTracePath.empty()
         && opt.command != GazeCampaignOptions::Command::Run)
         GAZE_FATAL("--obs-trace only applies to gaze_campaign run");
-    return opt;
-}
-
-const char *
-gazeServeUsage()
-{
-    return gazeServeUsageText;
-}
-
-GazeServeOptions
-parseGazeServeArgs(const std::vector<std::string> &args)
-{
-    GazeServeOptions opt;
-    if (args.empty())
-        return opt; // Help
-
-    const std::string &cmd = args[0];
-    if (cmd == "--help" || cmd == "-h" || cmd == "help")
-        return opt;
-
-    if (cmd == "daemon")
-        opt.command = GazeServeOptions::Command::Daemon;
-    else if (cmd == "submit")
-        opt.command = GazeServeOptions::Command::Submit;
-    else if (cmd == "status")
-        opt.command = GazeServeOptions::Command::Status;
-    else if (cmd == "shutdown")
-        opt.command = GazeServeOptions::Command::Shutdown;
-    else if (cmd == "--bench")
-        opt.command = GazeServeOptions::Command::Bench;
-    else
-        GAZE_FATAL("unknown gaze_serve command '", cmd,
-                   "' (want daemon, submit, status, shutdown or "
-                   "--bench)");
-
-    bool daemon = opt.command == GazeServeOptions::Command::Daemon;
-    bool submit = opt.command == GazeServeOptions::Command::Submit;
-    bool bench = opt.command == GazeServeOptions::Command::Bench;
-
-    auto only = [&](const char *flag, bool ok) {
-        if (!ok)
-            GAZE_FATAL(flag, " does not apply to gaze_serve ", cmd,
-                       " (see gaze_serve --help)");
-    };
-
-    for (size_t i = 1; i < args.size(); ++i) {
-        std::string key, val;
-        splitFlag(args[i], &key, &val);
-        if (key == "--help" || key == "-h") {
-            opt.command = GazeServeOptions::Command::Help;
-            return opt;
-        } else if (key == "--socket") {
-            only("--socket", !bench);
-            if (val.empty())
-                GAZE_FATAL("--socket needs a path");
-            opt.socketPath = val;
-        } else if (key == "--spec") {
-            only("--spec", submit);
-            if (val.empty())
-                GAZE_FATAL("--spec needs a file path");
-            opt.specPath = val;
-        } else if (key == "--cache-dir") {
-            only("--cache-dir", daemon || bench);
-            if (val.empty())
-                GAZE_FATAL("--cache-dir needs a directory");
-            opt.cacheDir = val;
-        } else if (key == "--threads") {
-            only("--threads", daemon || bench);
-            opt.threads =
-                static_cast<uint32_t>(parseCount(key, val, 4096));
-        } else if (key == "--max-queued") {
-            only("--max-queued", daemon);
-            opt.maxQueued = parseCount(key, val, 1u << 20);
-            if (opt.maxQueued < 1)
-                GAZE_FATAL("--max-queued needs at least one cell");
-        } else if (key == "--max-inflight") {
-            only("--max-inflight", daemon);
-            opt.maxInFlight = parseCount(key, val, 1u << 20);
-            if (opt.maxInFlight < 1)
-                GAZE_FATAL("--max-inflight needs at least one "
-                           "submission");
-        } else if (key == "--obs-trace") {
-            only("--obs-trace", daemon);
-            if (val.empty())
-                GAZE_FATAL("--obs-trace needs a file path");
-            opt.obsTracePath = val;
-        } else if (key == "--verbose") {
-            only("--verbose", daemon);
-            opt.verbose = true;
-        } else if (key == "--priority") {
-            only("--priority", submit);
-            // Priorities order the daemon's ready queue both ways:
-            // digits with an optional leading '-'. Range matches the
-            // protocol's accepted window.
-            bool neg = !val.empty() && val[0] == '-';
-            uint64_t mag = parseCount(
-                key, neg ? val.substr(1) : val, 1000000);
-            opt.priority = neg ? -static_cast<int64_t>(mag)
-                               : static_cast<int64_t>(mag);
-        } else if (key == "--out") {
-            only("--out", submit || bench);
-            opt.outPath = val;
-        } else if (key == "--csv") {
-            only("--csv", submit);
-            opt.csvPath = val;
-        } else if (key == "--quiet") {
-            only("--quiet", submit);
-            opt.quiet = true;
-        } else {
-            GAZE_FATAL("unknown option '", args[i],
-                       "' (see gaze_serve --help)");
-        }
-    }
-
-    if (!bench && opt.socketPath.empty())
-        GAZE_FATAL("gaze_serve ", cmd, " needs --socket=PATH");
-    if (submit && opt.specPath.empty())
-        GAZE_FATAL("gaze_serve submit needs --spec=FILE");
     return opt;
 }
 

@@ -123,50 +123,6 @@ parseGazeCampaignArgs(const std::vector<std::string> &args);
 /** gaze_campaign usage text. */
 const char *gazeCampaignUsage();
 
-/** Parsed gaze_serve command line. */
-struct GazeServeOptions
-{
-    enum class Command
-    {
-        Daemon,   ///< run the campaign service on a Unix socket
-        Submit,   ///< client: send a spec, stream events, write report
-        Status,   ///< client: print the daemon's status JSON line
-        Shutdown, ///< client: ask the daemon to drain and exit
-        Bench,    ///< --bench: in-process throughput probe
-        Help
-    };
-
-    Command command = Command::Help;
-    std::string socketPath;   ///< --socket (all socket commands)
-    std::string specPath;     ///< submit: --spec (required)
-    std::string cacheDir;     ///< daemon/bench: --cache-dir
-                              ///< (daemon default: campaign_cache;
-                              ///< bench default: fresh temp dir)
-    uint32_t threads = 0;     ///< daemon/bench: --threads (0 = hw)
-    uint64_t maxQueued = 4096;  ///< daemon: --max-queued cells
-    uint64_t maxInFlight = 8; ///< daemon: --max-inflight per client
-    std::string obsTracePath; ///< daemon: --obs-trace
-    int64_t priority = 0;     ///< submit: --priority (may be negative)
-    std::string outPath;      ///< submit/bench: --out
-    std::string csvPath;      ///< submit: --csv
-    bool quiet = false;       ///< submit: --quiet
-    bool verbose = false;     ///< daemon: --verbose
-};
-
-/**
- * Parse gaze_serve arguments: "daemon --socket=PATH [--cache-dir=]
- * [--threads=] [--max-queued=] [--max-inflight=] [--obs-trace=]
- * [--verbose]", "submit --socket=PATH --spec=FILE [--priority=]
- * [--out=] [--csv=] [--quiet]", "status|shutdown --socket=PATH", or
- * "--bench [--out=] [--cache-dir=] [--threads=]". Fatal on unknown
- * commands/flags, flags that don't apply to the chosen command, or a
- * missing required flag.
- */
-GazeServeOptions parseGazeServeArgs(const std::vector<std::string> &args);
-
-/** gaze_serve usage text. */
-const char *gazeServeUsage();
-
 /** Split "a,b,c" into tokens, dropping empties. */
 std::vector<std::string> splitList(const std::string &s);
 

@@ -34,6 +34,15 @@ pfSpecAt(const std::string &spec, const std::string &level)
     return pf;
 }
 
+uint32_t
+checkedCoreCount(uint64_t cores)
+{
+    if (cores < 1 || cores > kMaxCores || (cores & (cores - 1)) != 0)
+        GAZE_FATAL("unsupported core count ", cores,
+                   ": must be a power of two in 1..", kMaxCores);
+    return static_cast<uint32_t>(cores);
+}
+
 BaselineCache::BaselineCache(size_t capacity) : cap(capacity) {}
 
 RunResult

@@ -88,6 +88,15 @@ struct PfSpec
 PfSpec pfSpecAt(const std::string &spec, const std::string &level);
 
 /**
+ * Return @p cores as a core count when a System can be built with it:
+ * a power of two in 1..kMaxCores (the LLC gets a fixed number of sets
+ * per core and its set count must be a power of two). Fatal otherwise,
+ * naming the value. Shared by the matrix driver and the campaign spec
+ * parser so the core axis is validated identically.
+ */
+uint32_t checkedCoreCount(uint64_t cores);
+
+/**
  * Thread-safe memo of no-prefetch baseline runs, keyed by the
  * canonical cell text (harness/cell_key — config + phases + mix
  * identity, so it is safe to share across Runners with different
@@ -97,9 +106,8 @@ PfSpec pfSpecAt(const std::string &spec, const std::string &level);
  * thread-pool workers of a matrix or campaign run by passing it to
  * each Runner.
  *
- * Residency is bounded for long-running processes (gaze_serve): at
- * most @p capacity completed entries stay resident, evicted least
- * recently used. In-flight entries are never evicted, so the
+ * Residency can be bounded: at most @p capacity completed entries
+ * stay resident, evicted least recently used. In-flight entries are never evicted, so the
  * compute-once and failure-propagation guarantees hold at any
  * capacity: every caller that attaches to an in-flight key gets that
  * computation's result or exception. An evicted key simply recomputes

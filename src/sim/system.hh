@@ -19,7 +19,6 @@
 #include "sim/event.hh"
 #include "sim/prefetcher.hh"
 #include "sim/request_pool.hh"
-#include "sim/threaded.hh"
 #include "sim/trace.hh"
 #include "sim/vmem.hh"
 
@@ -40,11 +39,6 @@ class TraceSink;
  * minimum wake hint (see TickEvent), so idle cycles cost nothing.
  * Polled ticks every component every cycle and remains the reference
  * implementation and bench_engine baseline.
- *
- * Orthogonally, `SystemConfig::simThreads > 1` runs a multi-core
- * system's per-core slices on worker threads (cycle-lockstep
- * fork/join, see threaded.hh); that loop both ticks like Polled and
- * skips like Event, and is engaged for any engine kind.
  */
 enum class EngineKind
 {
@@ -58,6 +52,13 @@ const char *engineKindName(EngineKind kind);
 /** Parse an --engine= value; fatal on anything unknown. */
 EngineKind parseEngineKind(const std::string &name);
 
+/**
+ * Largest supported core count. The LLC's set count scales with the
+ * core count, so a valid count is also a power of two; see
+ * checkedCoreCount() in harness/runner.hh for the input-side check.
+ */
+constexpr uint32_t kMaxCores = 64;
+
 /** Full-system configuration (Table II defaults). */
 struct SystemConfig
 {
@@ -65,14 +66,6 @@ struct SystemConfig
 
     /** Simulation engine (results are identical for every kind). */
     EngineKind engine = EngineKind::Event;
-
-    /**
-     * Worker threads for multi-core runs (1 = single-threaded).
-     * Takes effect when both simThreads > 1 and numCores > 1; results
-     * are bit-identical to single-threaded for any value. Thread
-     * counts beyond numCores are clamped (one slice per core).
-     */
-    uint32_t simThreads = 1;
 
     CoreParams core;
 
@@ -110,17 +103,14 @@ struct SystemConfig
  */
 struct EngineStats
 {
-    bool eventDriven = true; ///< engine can skip cycles (kind != Polled)
     EngineKind kind = EngineKind::Event;
-    uint32_t simThreads = 1;       ///< configured worker threads
     uint64_t cyclesTotal = 0;      ///< simulated cycles (clock)
     uint64_t cyclesExecuted = 0;   ///< cycles the components ticked
     uint64_t cyclesSkipped = 0;    ///< idle cycles jumped over
 
     /**
      * Component ticks: those that passed the wake-hint gate under
-     * Event; every component every cycle under Polled; every due
-     * slice's (plus LLC and DRAM) per executed cycle when threaded.
+     * Event; every component every cycle under Polled.
      */
     uint64_t eventsDispatched = 0;
 
@@ -248,9 +238,6 @@ class System
     /** EngineStats::eventsDispatched for this system's engine. */
     uint64_t eventsDispatched() const;
 
-    /** True when this run executes per-core slices on worker threads. */
-    bool threadedActive() const;
-
     /**
      * Wake-hint loop (engine == Event): tick the due components,
      * then jump the clock to the minimum wake hint, until @p done
@@ -264,23 +251,7 @@ class System
     template <typename DoneFn, typename PostCycleFn>
     bool polledLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
-    /**
-     * Multi-threaded loop: per-core slices fork/joined across the
-     * SliceTeam every executed cycle, LLC/DRAM and all cross-core
-     * traffic serialized on this thread, idle stretches skipped via
-     * the same global min-wake argument the event engine uses.
-     */
-    template <typename DoneFn, typename PostCycleFn>
-    bool threadedLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
-
-    /**
-     * Execute the cycle `clock` points at (threaded mode), advance the
-     * clock past it and return the earliest cycle at which any
-     * component next needs to run (kNeverWake when none do).
-     */
-    Cycle executeThreadedCycle();
-
-    /** Dispatch to the loop this config runs (engine × threading). */
+    /** Dispatch to the loop this config's engine runs. */
     template <typename DoneFn, typename PostCycleFn>
     bool driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
@@ -301,16 +272,14 @@ class System
     RequestPool pool;
 
     // Engine-speed accounting (see EngineStats). dispatchedEvents
-    // counts the polled and threaded loops' ticks; the event loop's
-    // come from the components' gated-tick counters.
+    // counts the polled loop's ticks; the event loop's come from the
+    // components' gated-tick counters.
     uint64_t executedCycles = 0;
     uint64_t dispatchedEvents = 0;
 
     VirtualMemory vm;
     std::unique_ptr<Dram> dramCtrl;
     std::unique_ptr<Cache> llcCache;
-    // Portals are declared before the L2s that send through them.
-    std::vector<std::unique_ptr<LlcPortal>> portals;
     std::vector<std::unique_ptr<Cache>> l2s;
     std::vector<std::unique_ptr<Cache>> l1ds;
     std::vector<std::unique_ptr<Core>> cores;
@@ -324,12 +293,6 @@ class System
     uint32_t obsDramTid = 0;
     std::vector<uint32_t> obsCoreTids;
     std::vector<std::string> schemeLabels;
-
-    // Threaded-mode state (see threaded.hh and executeThreadedCycle).
-    std::unique_ptr<SliceTeam> team;
-    std::vector<Cycle> sliceWake;      ///< per-slice next-wake cycle
-    std::vector<uint32_t> activeSlices;///< slices due this cycle
-    uint32_t maxPqSendsPerSlice = 0;   ///< LLC-pq backpressure budget
 };
 
 } // namespace gaze

@@ -154,99 +154,33 @@ TEST(CampaignSpecParse, FatalSpecErrors)
     EXPECT_DEATH(
         parseCampaignSpec(parseSpecText(
             R"({"name":"x","prefetchers":["gaze"],"cores":[0]})")),
-        ">= 1");
+        "power of two");
+    // The LLC's set count scales with the core count: a count that is
+    // not a power of two is diagnosed at parse time (same message as
+    // gaze_sim --cores), not by an assertion inside a pool worker.
+    EXPECT_EXIT(
+        parseCampaignSpec(parseSpecText(
+            R"({"name":"x","prefetchers":["gaze"],"cores":[3]})")),
+        testing::ExitedWithCode(1), "unsupported core count 3: must be "
+                                    "a power of two");
     EXPECT_DEATH(
         parseCampaignSpec(parseSpecText(
             R"({"name":"x","prefetchers":["gaze"],)"
             R"("workloads":["nope"]})")),
         "unknown workload");
-}
-
-// The service preflights specs with checkCampaignSpecDoc so a typo'd
-// submission becomes a "rejected" event instead of killing the daemon.
-// These tests pin the contract: empty string for anything the fatal
-// parser accepts, and a reason mirroring each GAZE_FATAL diagnosis.
-
-TEST(CampaignSpecPreflight, AcceptsWhatTheFatalParserAccepts)
-{
-    EXPECT_EQ(checkCampaignSpecDoc(parseSpecText(
-                  R"({"name":"c1","prefetchers":["gaze"],)"
-                  R"("workloads":["mcf"]})")),
-              "");
-    EXPECT_EQ(checkCampaignSpecDoc(parseSpecText(
-                  R"({"name":"c2",)"
-                  R"("prefetchers":["none","bingo:region=4096"],)"
-                  R"("suites":["spec06","gap"],"levels":["l1","l2"],)"
-                  R"("cores":[1,4],"warmup":1000,"sim":5000})")),
-              "");
-}
-
-TEST(CampaignSpecPreflight, MirrorsEveryFatalDiagnosisNonFatally)
-{
-    auto check = [](const char *text) {
-        return checkCampaignSpecDoc(parseSpecText(text));
-    };
-    auto has = [](const std::string &msg, const char *needle) {
-        return msg.find(needle) != std::string::npos;
-    };
-    EXPECT_TRUE(has(check(R"({"prefetchers":["gaze"]})"),
-                    "missing required \"name\""));
-    EXPECT_TRUE(has(check(R"({"name":"x"})"),
-                    "missing required \"prefetchers\""));
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["warp_drive"]})"),
-                    "unknown prefetcher 'warp_drive'"));
-    EXPECT_TRUE(
-        has(check(R"({"name":"x","prefetchers":["gaze"],"typo_key":1})"),
-            "unknown key"));
-    EXPECT_TRUE(
-        has(check(
-                R"({"name":"x","prefetchers":["gaze"],"levels":["l3"]})"),
-            "unknown attach level"));
-    // Suites are validated even when "workloads" overrides them.
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["mcf"],)"
-                          R"("suites":["spec6_typo"]})"),
-                    "unknown suite"));
-    EXPECT_TRUE(
-        has(check(R"({"name":"x","prefetchers":["gaze"],"cores":[0]})"),
-            ">= 1"));
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["nope"]})"),
-                    "unknown workload 'nope'"));
-    EXPECT_TRUE(has(check(R"(["not","an","object"])"),
-                    "must be a JSON object"));
-    EXPECT_TRUE(has(check(R"({"name":"","prefetchers":["gaze"]})"),
-                    "non-empty"));
-    // trace_dir is probed up front: a dangling path is a reason, not
-    // a mid-campaign surprise.
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["mcf"],)"
-                          R"("trace_dir":"/no/such/dir"})"),
-                    "no usable trace"));
-}
-
-TEST(CampaignSpecPreflight, PrefetcherOptionDiagnoses)
-{
-    EXPECT_EQ(checkPrefetcherSpecText(""), "");
-    EXPECT_EQ(checkPrefetcherSpecText("none"), "");
-    EXPECT_EQ(checkPrefetcherSpecText("gaze"), "");
-    EXPECT_EQ(checkPrefetcherSpecText("bingo:region=4096:phtways=8"),
-              "");
-    auto has = [](const std::string &msg, const char *needle) {
-        return msg.find(needle) != std::string::npos;
-    };
-    EXPECT_TRUE(has(checkPrefetcherSpecText("warp_drive"),
-                    "unknown prefetcher"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:warp=1"),
-                    "unknown option 'warp'"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:region"), "needs =N"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:region=3000"),
-                    "power of two"));
-    EXPECT_TRUE(
-        has(checkPrefetcherSpecText("bingo:region=128:region=128"),
-            "given twice"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("sms:scheme=psychic"),
-                    "unknown value 'psychic'"));
+    EXPECT_DEATH(parseCampaignSpec(parseSpecText(
+                     R"(["not","an","object"])")),
+                 "must be a JSON object");
+    EXPECT_DEATH(parseCampaignSpec(parseSpecText(
+                     R"({"name":"","prefetchers":["gaze"]})")),
+                 "\"name\" must be a non-empty string");
+    // trace_dir is resolved at expansion: a dangling path dies before
+    // any simulation or cache I/O.
+    EXPECT_DEATH(expandCampaign(parseCampaignSpec(parseSpecText(
+                     R"({"name":"x","prefetchers":["gaze"],)"
+                     R"("workloads":["mcf"],)"
+                     R"("trace_dir":"/no/such/dir"})"))),
+                 "no usable trace");
 }
 
 TEST(CampaignExpand, CellOrderAndBaselineDedup)

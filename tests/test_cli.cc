@@ -170,9 +170,18 @@ TEST(GazeSimCliDeath, BadNumbers)
     EXPECT_DEATH(parseGazeSimArgs({"--cores=-1"}),
                  "bad numeric value for --cores");
     EXPECT_DEATH(parseGazeSimArgs({"--cores=10000"}),
-                 "--cores out of range");
+                 "unsupported core count 10000");
     EXPECT_DEATH(parseGazeSimArgs({"--warmup=1e9"}),
                  "bad numeric value for --warmup");
+    // The LLC's set count scales with the core count, so the count
+    // must be a power of two: diagnosed at parse time (same message
+    // as a campaign's "cores" axis), never an abort mid-run.
+    EXPECT_EXIT(parseGazeSimArgs({"--cores=3"}),
+                testing::ExitedWithCode(1),
+                "unsupported core count 3: must be a power of two");
+    EXPECT_EXIT(parseGazeSimArgs({"--cores=0"}),
+                testing::ExitedWithCode(1),
+                "unsupported core count 0: must be a power of two");
 }
 
 TEST(GazeSimCliDeath, MalformedTraceDir)

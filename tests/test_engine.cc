@@ -202,7 +202,7 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
     WorkloadDef w = findWorkload("canneal");
     Runner ev(smallConfig(EngineKind::Event));
     RunResult r = ev.run(w, PfSpec{});
-    EXPECT_TRUE(r.engine.eventDriven);
+    EXPECT_EQ(r.engine.kind, EngineKind::Event);
     EXPECT_EQ(r.engine.cyclesExecuted + r.engine.cyclesSkipped,
               r.engine.cyclesTotal);
     EXPECT_GT(r.engine.cyclesSkipped, r.engine.cyclesTotal / 2)
@@ -212,7 +212,7 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
 
     Runner po(smallConfig(EngineKind::Polled));
     RunResult p = po.run(w, PfSpec{});
-    EXPECT_FALSE(p.engine.eventDriven);
+    EXPECT_EQ(p.engine.kind, EngineKind::Polled);
     EXPECT_EQ(p.engine.cyclesSkipped, 0u);
     EXPECT_EQ(p.engine.cyclesExecuted, p.engine.cyclesTotal);
 }

@@ -8,7 +8,7 @@
  * lifecycle attribution invariants.
  *
  * The perturbation-freedom half of the contract (obs-on bitwise
- * identical to obs-off on every engine and thread count) lives in
+ * identical to obs-off on both engines) lives in
  * test_engine_diff; this file owns the obs outputs themselves.
  */
 
@@ -137,14 +137,13 @@ TEST(ObsSampler, AdvanceToBoundaryItselfDoesNotEmitIt)
 // ---- sampler wired through a real run -------------------------------
 
 [[maybe_unused]] RunResult
-runObserved(EngineKind kind, uint32_t threads, uint64_t interval,
+runObserved(EngineKind kind, uint64_t interval,
             obs::TraceSink *sink = nullptr)
 {
     RunConfig cfg;
     cfg.warmupInstr = 1000;
     cfg.simInstr = 4000;
     cfg.system.engine = kind;
-    cfg.system.simThreads = threads;
     cfg.obs.samplerInterval = interval;
     cfg.obs.trace = sink;
     Runner r(cfg);
@@ -160,7 +159,7 @@ TEST(ObsTimeline, RowsLandOnExactIntervalMultiples)
 {
     EXPECT_TRUE(kScalePinned);
     constexpr uint64_t kInterval = 512;
-    RunResult res = runObserved(EngineKind::Event, 1, kInterval);
+    RunResult res = runObserved(EngineKind::Event, kInterval);
     const obs::SampleSeries &s = res.obsSamples;
     ASSERT_FALSE(s.empty());
     EXPECT_EQ(s.interval, kInterval);
@@ -181,9 +180,9 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
 {
     EXPECT_TRUE(kScalePinned);
     std::string a =
-        runObserved(EngineKind::Event, 1, 512).obsSamples.toCsv();
+        runObserved(EngineKind::Event, 512).obsSamples.toCsv();
     std::string b =
-        runObserved(EngineKind::Event, 1, 512).obsSamples.toCsv();
+        runObserved(EngineKind::Event, 512).obsSamples.toCsv();
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
 }
@@ -236,33 +235,20 @@ TEST(ObsTimeline, EnginesAgreeOnEveryArchitecturalColumn)
 {
     EXPECT_TRUE(kScalePinned);
     auto ref =
-        architecturalColumns(runObserved(EngineKind::Polled, 1, 512)
+        architecturalColumns(runObserved(EngineKind::Polled, 512)
                                  .obsSamples);
     ASSERT_FALSE(ref.second.empty());
-    struct Variant
-    {
-        EngineKind kind;
-        uint32_t threads;
-        const char *name;
-    };
-    const Variant variants[] = {
-        {EngineKind::Event, 1, "event"},
-        {EngineKind::Event, 4, "event/t4"},
-    };
-    for (const auto &v : variants) {
-        auto got = architecturalColumns(
-            runObserved(v.kind, v.threads, 512).obsSamples);
-        EXPECT_EQ(got.first, ref.first) << v.name;
-        EXPECT_EQ(got.second, ref.second) << v.name;
-    }
+    auto got = architecturalColumns(
+        runObserved(EngineKind::Event, 512).obsSamples);
+    EXPECT_EQ(got.first, ref.first);
+    EXPECT_EQ(got.second, ref.second);
 }
 
-TEST(ObsTimeline, SamplerOnVsOffIdenticalUnderThreaded)
+TEST(ObsTimeline, SamplerOnVsOffIdentical)
 {
     EXPECT_TRUE(kScalePinned);
-    // --sim-threads=4 with and without the sampler attached.
-    RunResult off = runObserved(EngineKind::Event, 4, /*interval=*/0);
-    RunResult on = runObserved(EngineKind::Event, 4, /*interval=*/512);
+    RunResult off = runObserved(EngineKind::Event, /*interval=*/0);
+    RunResult on = runObserved(EngineKind::Event, /*interval=*/512);
     EXPECT_TRUE(off.obsSamples.empty());
     EXPECT_FALSE(on.obsSamples.empty());
     EXPECT_EQ(on.ipc(), off.ipc());
@@ -286,7 +272,7 @@ TEST(ObsTrace, DocumentParsesAndCarriesBothProcessTracks)
         // system emits, as the campaign engine records them.
         obs::HostSpan span(&sink, "test cell");
         RunResult res =
-            runObserved(EngineKind::Event, 1, /*interval=*/0, &sink);
+            runObserved(EngineKind::Event, /*interval=*/0, &sink);
         ASSERT_GT(res.instructionsRetired, 0u);
     }
     ASSERT_GT(sink.eventCount(), 0u);
@@ -371,7 +357,7 @@ TEST(ObsAttribution, SchemeCountsSatisfyLifecycleInvariants)
 TEST(ObsAttribution, LateSplitSumsToLateTotalAtEveryLevel)
 {
     EXPECT_TRUE(kScalePinned);
-    RunResult res = runObserved(EngineKind::Event, 1, 0);
+    RunResult res = runObserved(EngineKind::Event, 0);
     for (const CacheStats *s : {&res.l1d, &res.l2, &res.llc}) {
         EXPECT_EQ(s->loadMissLate + s->rfoMissLate, s->pfLate);
         EXPECT_LE(s->loadMissLate, s->loadMiss);
