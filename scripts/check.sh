@@ -186,6 +186,9 @@ GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --out=engine_default_smoke.json > engine_default_smoke.txt
 cat engine_default_smoke.txt
 grep -q "engine: event |" engine_default_smoke.txt
+# ...with the per-component work counters (gate-passed ticks).
+grep -Eq "ticks core=[0-9]+ l1d=[0-9]+ l2=[0-9]+ llc=[0-9]+ dram=[0-9]+" \
+    engine_default_smoke.txt
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=mcf \
     --cores=4 --warmup=1000 --sim=4000 \

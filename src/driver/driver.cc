@@ -1,6 +1,7 @@
 #include "driver/driver.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -147,6 +148,7 @@ runMatrix(const MatrixSpec &spec)
 
     std::atomic<uint64_t> totalInstr{0}, totalEvents{0};
     std::atomic<uint64_t> totalExecuted{0}, totalSkipped{0};
+    std::array<std::atomic<uint64_t>, kTickClasses> totalTicks{};
     auto runCell = [&](const WorkloadDef &w, const PfSpec &pf,
                        RunResult *out, double *secs) {
         obs::HostSpan cellSpan(
@@ -169,6 +171,9 @@ runMatrix(const MatrixSpec &spec)
                                 std::memory_order_relaxed);
         totalSkipped.fetch_add(out->engine.cyclesSkipped,
                                std::memory_order_relaxed);
+        for (size_t k = 0; k < kTickClasses; ++k)
+            totalTicks[k].fetch_add(out->engine.ticks[k],
+                                    std::memory_order_relaxed);
         progress(pf.isNone() ? "baseline" : pf.label(), w.name, dt);
     };
 
@@ -263,6 +268,8 @@ runMatrix(const MatrixSpec &spec)
     result.totalEvents = totalEvents.load();
     result.totalCyclesExecuted = totalExecuted.load();
     result.totalCyclesSkipped = totalSkipped.load();
+    for (size_t k = 0; k < kTickClasses; ++k)
+        result.totalTicks[k] = totalTicks[k].load();
     result.seconds = matrixTimer.seconds();
     return result;
 }
@@ -391,6 +398,10 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
                               / double(totalCycles)
                         : 0.0);
     j.field("minstr_per_sec", result.minstrPerSec());
+    j.key("ticks").beginObject();
+    for (size_t k = 0; k < kTickClasses; ++k)
+        j.field(kTickClassNames[k], result.totalTicks[k]);
+    j.endObject();
     j.endObject();
 
     j.field("elapsed_seconds", result.seconds);
@@ -423,12 +434,17 @@ matrixEngineTable(const MatrixResult &result)
     char line[256];
     std::snprintf(line, sizeof(line),
                   "\nengine: %s | %.2f Minstr in %.2fs -> %.2f "
-                  "Minstr/s aggregate | %.1f%% of cycles skipped\n",
+                  "Minstr/s aggregate | %.1f%% of cycles skipped | "
+                  "ticks",
                   result.engine.c_str(),
                   double(result.totalInstructions) / 1e6,
                   result.seconds, result.minstrPerSec(),
                   100.0 * skip);
     out += line;
+    for (size_t k = 0; k < kTickClasses; ++k)
+        out += std::string(" ") + kTickClassNames[k] + "="
+               + std::to_string(result.totalTicks[k]);
+    out += "\n";
     return out;
 }
 

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -116,6 +117,8 @@ struct MatrixResult
     uint64_t totalEvents = 0;
     uint64_t totalCyclesExecuted = 0;
     uint64_t totalCyclesSkipped = 0;
+    /** Gate-passed ticks per component class (see EngineStats). */
+    std::array<uint64_t, kTickClasses> totalTicks{};
 
     /** Matrix-level Minstr/s (all simulated instructions over wall). */
     double
@@ -142,8 +145,8 @@ std::string matrixToTable(const MatrixResult &result);
 
 /**
  * Render per-cell simulation-speed stats (Minstr/s, skipped-cycle
- * fraction, events, late prefetches) plus the matrix aggregate:
- * gaze_sim --engine-stats output.
+ * fraction, events, late prefetches) plus the matrix aggregate with
+ * its per-component tick counts: gaze_sim --engine-stats output.
  */
 std::string matrixEngineTable(const MatrixResult &result);
 

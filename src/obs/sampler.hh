@@ -12,9 +12,16 @@
  * not yet reached) — so the counter state *at* b is exactly the
  * current counter state, and the sampler can emit b's row late
  * without ever forcing the engine to wake at b. This is the same
- * lazy-catch-up argument Core::catchUpStallCounters uses, which is
- * why sampler-on runs are bitwise identical to sampler-off runs on
- * every engine (test_engine_diff / test_obs assert it).
+ * lazy-catch-up argument Core::catchUpStallCounters and
+ * Cache::catchUpMshrWaits use, which is why sampler-on runs are
+ * bitwise identical to sampler-off runs on every engine
+ * (test_engine_diff / test_obs assert it).
+ *
+ * The sampler reads the bound counters raw, without settling: the
+ * four lazily accounted stall counters (core robFullCycles and
+ * frontendStallCycles, cache mshrFullStall and pfMshrWait) lag by
+ * the cycles a sleeping component has not yet accounted. Both
+ * engines tick on the same cycles, so the lag is the same on both.
  */
 
 #pragma once

@@ -345,7 +345,7 @@ Cache::handlePrefetch(Request &req)
     if (mshr.full()) {
         ++stat.pfMshrWait;
         if (req.requester)
-            return PfOutcome::Retry; // dropping would leak upper MSHR
+            return PfOutcome::MshrWait; // dropping would leak upper MSHR
         if (cfg.level == levelL1) {
             // The L1 PQ holds mixed fill levels; a waiting L1-fill
             // head would starve L2-targeted prefetches behind it.
@@ -362,7 +362,7 @@ Cache::handlePrefetch(Request &req)
         // L2/LLC PQs are homogeneous (everything targets this level
         // or beyond), so waiting at the head starves nothing, and the
         // fetch keeps its slot until an MSHR frees.
-        return PfOutcome::Retry;
+        return PfOutcome::MshrWait;
     }
     return missToMshr(req) ? PfOutcome::Done : PfOutcome::Retry;
 }
@@ -376,22 +376,28 @@ Cache::tick()
     if (!sched.due(now()))
         return;
 
+    catchUpMshrWaits();
     deliverResponses();
     retryUnissuedMshrs();
 
     uint32_t ops = 0;
+    bool read_waits = false;
+    bool pf_waits = false;
 
     // Demand reads take priority for tag bandwidth.
     while (ops < cfg.tagPorts && !readQ.empty()) {
         Request req = readQ.front();
-        if (!handleRead(req))
-            break; // MSHR full: head-of-line stall
+        if (!handleRead(req)) {
+            read_waits = true; // MSHR full: head-of-line stall
+            break;
+        }
         readQ.pop_front();
         ++ops;
     }
 
     // One writeback per cycle keeps WQ drain realistic but cheap.
-    if (!writeQ.empty()) {
+    bool wrote = !writeQ.empty();
+    if (wrote) {
         Request req = writeQ.front();
         writeQ.pop_front();
         handleWrite(req);
@@ -399,8 +405,11 @@ Cache::tick()
 
     while (ops < cfg.tagPorts && !prefetchQ.empty()) {
         Request req = prefetchQ.front();
-        if (handlePrefetch(req) == PfOutcome::Retry)
+        PfOutcome outcome = handlePrefetch(req);
+        if (outcome != PfOutcome::Done) {
+            pf_waits = outcome == PfOutcome::MshrWait;
             break; // blocked: retry next cycle
+        }
         prefetchQ.pop_front();
         ++ops;
     }
@@ -408,7 +417,32 @@ Cache::tick()
     if (pf)
         pf->tick();
 
+    // A tick that consumed nothing and stopped only at heads waiting
+    // on a full MSHR file ends the same way on every following cycle
+    // until a fill frees an MSHR or new input arrives (recvFill and
+    // sendRequest wake the cache for both).
+    bool idle = ops == 0 && !wrote;
+    readWaitsOnMshr = idle && read_waits;
+    pfWaitsOnMshr = idle && pf_waits;
+    lastTickCycle = now();
+
     sched.tickDone(nextWakeCycle());
+}
+
+void
+Cache::catchUpMshrWaits()
+{
+    if (now() <= lastTickCycle + 1)
+        return; // no skipped cycles
+    // Each skipped cycle [lastTickCycle+1, now-1] would have ended
+    // exactly like the last tick: the same heads, the same full MSHR
+    // file, one more stall on each waiting head.
+    uint64_t skipped = now() - lastTickCycle - 1;
+    if (readWaitsOnMshr)
+        stat.mshrFullStall += skipped;
+    if (pfWaitsOnMshr)
+        stat.pfMshrWait += skipped;
+    lastTickCycle = now() - 1;
 }
 
 void
@@ -553,16 +587,19 @@ Cache::nextWakeCycle() const
 {
     // Anything queued (or retryable) makes the very next cycle
     // potentially productive — the polled engine would process it
-    // then, so the event engine must too.
-    if (!readQ.empty() || !writeQ.empty() || !prefetchQ.empty())
+    // then, so the event engine must too — unless the queue's head
+    // is waiting on a full MSHR file (see tick()).
+    if (!writeQ.empty() || unissuedMshrs > 0)
         return now() + 1;
-    if (unissuedMshrs > 0)
+    if (!readQ.empty() && !readWaitsOnMshr)
+        return now() + 1;
+    if (!prefetchQ.empty() && !pfWaitsOnMshr)
         return now() + 1;
     if (pf && pf->busy())
         return now() + 1;
-    // Quiet queues: the only self-known work is delivering already
-    // scheduled responses (all strictly in the future here, since
-    // tick() drained everything due).
+    // Quiet or MSHR-blocked queues: the only self-known work is
+    // delivering already scheduled responses (all strictly in the
+    // future here, since tick() drained everything due).
     if (!responses.empty())
         return responses.top().ready;
     return kNeverWake;

@@ -214,12 +214,30 @@ class Cache final : public MemoryDevice, public FillReceiver
      * Earliest future cycle at which tick() could have any effect:
      * next cycle while any queue, unissued MSHR, or prefetcher work
      * is pending; the next response-ready cycle otherwise; kNeverWake
-     * when only a lower-level fill can create work.
+     * when only a lower-level fill or new input can create work. A
+     * tick that consumed nothing and stopped only at read/prefetch
+     * queue heads waiting on a full MSHR file sleeps like a quiet
+     * one: only a fill (recvFill) can free an MSHR, and it wakes the
+     * cache, as does any new input.
      */
     Cycle nextWakeCycle() const;
 
     const CacheParams &params() const { return cfg; }
-    const CacheStats &stats() const { return stat; }
+
+    /**
+     * Counters, settled: mshrFullStall and pfMshrWait accrue lazily
+     * across slept-through full-MSHR stalls (see catchUpMshrWaits),
+     * so reading through here first accounts every cycle up to the
+     * previous one — exactly what a cache ticked on every cycle would
+     * show. The settle is a pure function of cache state, so it
+     * cannot perturb the simulation.
+     */
+    const CacheStats &
+    stats() const
+    {
+        const_cast<Cache *>(this)->catchUpMshrWaits();
+        return stat;
+    }
 
     /** Per-scheme lifecycle counters, indexed by scheme id (0 unused). */
     const std::vector<SchemeStats> &schemeStats() const
@@ -227,9 +245,15 @@ class Cache final : public MemoryDevice, public FillReceiver
         return schemeStat;
     }
 
+    /**
+     * Zero the counters. Settling first moves the lazy-stall baseline
+     * to the reset point, so stalls slept through before the reset
+     * are not re-attributed after it.
+     */
     void
     resetStats()
     {
+        catchUpMshrWaits();
         stat.reset();
         for (auto &s : schemeStat)
             s = SchemeStats{};
@@ -308,8 +332,9 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Outcome of processing the PQ head. */
     enum class PfOutcome
     {
-        Done, ///< consumed (issued, merged, dropped, or forwarded)
-        Retry ///< blocked at the head; retry next cycle
+        Done,    ///< consumed (issued, merged, dropped, or forwarded)
+        Retry,   ///< a lower level rejected it; retry next cycle
+        MshrWait ///< blocked at the head until an MSHR frees
     };
 
     bool handleRead(Request &req);
@@ -320,6 +345,16 @@ class Cache final : public MemoryDevice, public FillReceiver
     bool missToMshr(Request &req);
 
     void retryUnissuedMshrs();
+
+    /**
+     * Account the stall counters for cycles slept through while the
+     * queue heads waited on a full MSHR file: a cache ticked on every
+     * such cycle adds one mshrFullStall per cycle for a waiting read
+     * head and one pfMshrWait for a waiting prefetch head. The state
+     * is unchanged across the skipped window (anything that could
+     * change it wakes the cache), so the catch-up is exact.
+     */
+    void catchUpMshrWaits();
 
     void notifyPrefetcherAccess(const Request &req, bool hit);
 
@@ -336,6 +371,11 @@ class Cache final : public MemoryDevice, public FillReceiver
 
     /** MSHRs whose downstream send is still pending (retry set). */
     uint32_t unissuedMshrs = 0;
+
+    // Full-MSHR sleep state, set by each tick (see tick()).
+    Cycle lastTickCycle = 0;      ///< lazy-stall catch-up baseline
+    bool readWaitsOnMshr = false; ///< RQ head sleeps on full MSHRs
+    bool pfWaitsOnMshr = false;   ///< PQ head sleeps on full MSHRs
 
     std::vector<Addr> tagArr;
     std::vector<BlockMeta> meta;

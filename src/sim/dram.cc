@@ -1,5 +1,6 @@
 #include "sim/dram.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hh"
@@ -51,6 +52,12 @@ Dram::Dram(const DramParams &params, const Cycle *clock_ptr)
     burst = static_cast<Cycle>(
         std::ceil(transfers * cfg.cpuGhz * 1000.0 / cfg.mtps));
     GAZE_ASSERT(burst >= 1, "degenerate burst length");
+
+    // The issue horizon must exceed the worst-case bank access
+    // (precharge+activate+CAS) or a single row miss on an idle bus
+    // would stall command issue for the whole access latency; beyond
+    // that, allow a few bursts of transfer pipelining.
+    horizon = tRp + tRcd + tCas + 4 * burst;
 }
 
 Dram::Decoded
@@ -131,17 +138,24 @@ Dram::choose(Channel &ch, const Pick &p, size_t none) const
     return p.oldest;
 }
 
-void
-Dram::serviceChannel(Channel &ch)
+bool
+Dram::drainAfterHysteresis(const Channel &ch) const
 {
     // Hysteretic write drain: start when the WQ is nearly full (or
     // reads are absent), stop when drained low.
-    if (!ch.draining &&
+    bool draining = ch.draining;
+    if (!draining &&
         (ch.wq.size() >= cfg.wqDrainHigh || (ch.rq.empty() && !ch.wq.empty())))
-        ch.draining = true;
-    if (ch.draining && (ch.wq.size() <= cfg.wqDrainLow ||
-                        (ch.wq.empty())))
-        ch.draining = false;
+        draining = true;
+    if (draining && ch.wq.size() <= cfg.wqDrainLow)
+        draining = false;
+    return draining;
+}
+
+void
+Dram::serviceChannel(Channel &ch)
+{
+    ch.draining = drainAfterHysteresis(ch);
 
     bool do_write = ch.draining && !ch.wq.empty();
     RingBuffer<QueuedRequest> &q = do_write ? ch.wq : ch.rq;
@@ -151,11 +165,7 @@ Dram::serviceChannel(Channel &ch)
     // One command per cycle per channel; bank-level parallelism is
     // implicit (each command occupies only its own bank), and the
     // shared data bus serializes transfers via the busFree high-water
-    // mark. The issue horizon must exceed the worst-case bank access
-    // (precharge+activate+CAS) or a single row miss on an idle bus
-    // would stall command issue for the whole access latency; beyond
-    // that, allow a few bursts of transfer pipelining.
-    Cycle horizon = tRp + tRcd + tCas + 4 * burst;
+    // mark, issuing at most `horizon` cycles ahead of the bus.
     if (ch.busFree > now() + horizon)
         return;
 
@@ -229,15 +239,42 @@ Dram::catchUpEpochs()
 }
 
 Cycle
+Dram::channelWakeCycle(const Channel &ch) const
+{
+    // A pending drain-mode flip changes state on the next tick even
+    // if nothing issues; tick then, or a request arriving mid-sleep
+    // would meet the unflipped mode.
+    if (drainAfterHysteresis(ch) != ch.draining)
+        return now() + 1;
+    const RingBuffer<QueuedRequest> &q =
+        ch.draining && !ch.wq.empty() ? ch.wq : ch.rq;
+    if (q.empty())
+        return kNeverWake; // only sendRequest can create work here
+
+    // serviceChannel issues on the first cycle that is past the bus
+    // horizon and finds some queued request's bank ready. Scan
+    // priority and choose() pick *which* request, never *whether*.
+    Cycle gate = ch.busFree > horizon ? ch.busFree - horizon : 0;
+    Cycle ready = kNeverWake;
+    for (size_t i = 0; i < q.size(); ++i)
+        ready = std::min(ready, ch.banks[q[i].bank].ready);
+
+    // choose() clears rowHitBypasses on every cycle that passes the
+    // horizon without a ready bank; wake once at the gate so a real
+    // tick performs that reset instead of replaying it lazily.
+    if (ch.rowHitBypasses != 0 && gate < ready)
+        return std::max(now() + 1, gate);
+    return std::max({now() + 1, gate, ready});
+}
+
+Cycle
 Dram::nextWakeCycle() const
 {
-    for (const auto &ch : channels) {
-        if (!ch.rq.empty() || !ch.wq.empty())
-            return now() + 1;
-    }
-    if (!completions.empty())
-        return completions.top().ready;
-    return kNeverWake;
+    Cycle wake = completions.empty() ? kNeverWake
+                                     : completions.top().ready;
+    for (const auto &ch : channels)
+        wake = std::min(wake, channelWakeCycle(ch));
+    return wake;
 }
 
 void

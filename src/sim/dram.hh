@@ -104,9 +104,13 @@ class Dram final : public MemoryDevice
     const TickEvent &wake() const { return sched; }
 
     /**
-     * Earliest future cycle a tick could issue a command or deliver a
-     * completion; kNeverWake when every queue and the completion heap
-     * are empty (sendRequest wakes the controller).
+     * Earliest future cycle a tick could change anything: the next
+     * completion, and per channel the first cycle serviceChannel could
+     * issue (past the bus horizon with some queued request's bank
+     * ready), the cycle a pending drain-mode flip or rowHitBypasses
+     * reset happens; kNeverWake when every queue and the completion
+     * heap are empty (sendRequest wakes the controller). Exact: on
+     * every cycle it skips an ungated tick would change nothing.
      */
     Cycle nextWakeCycle() const;
 
@@ -164,6 +168,16 @@ class Dram final : public MemoryDevice
     void serviceChannel(Channel &ch);
 
     /**
+     * The write-drain mode @p ch serves in on its next tick (the
+     * hysteresis rule). With no queue change the result is a fixed
+     * point, so serviceChannel and the wake hint share it.
+     */
+    bool drainAfterHysteresis(const Channel &ch) const;
+
+    /** The per-channel part of nextWakeCycle(). */
+    Cycle channelWakeCycle(const Channel &ch) const;
+
+    /**
      * Process epoch boundaries that fell strictly before the current
      * cycle while the controller slept (the polled engine handles
      * each at its own cycle; idle epochs publish a zero utilization).
@@ -212,6 +226,9 @@ class Dram final : public MemoryDevice
     uint32_t banksPerChannel;
     uint64_t blocksPerRow;
     Cycle tRp, tRcd, tCas, burst;
+
+    /** How far ahead of the data bus a command may issue. */
+    Cycle horizon = 0;
 
     DramStats stat;
 

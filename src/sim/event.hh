@@ -18,6 +18,16 @@
  * have failed, i.e. one on which the polled engine changes nothing.
  * The two are therefore metrics-bit-identical by construction;
  * test_engine and test_engine_diff assert it.
+ *
+ * A hint must be exact, not merely safe: the longer a component can
+ * prove it will sleep, the more cycles the event engine skips. Each
+ * one sleeps until the input that can unblock it arrives — the core
+ * on a fill for a full ROB/SQ or a blocked dependent load, a cache on
+ * a fill while its queue heads wait on a full MSHR file, DRAM until
+ * the first cycle a queued bank is ready within the bus horizon.
+ * Per-cycle counters the skipped ticks would have bumped (the core's
+ * robFullCycles/frontendStallCycles, the cache's mshrFullStall/
+ * pfMshrWait) are added on wake-up and settled by stats().
  */
 
 #pragma once

@@ -298,15 +298,28 @@ System::minWakeHint() const
     return m;
 }
 
+std::array<uint64_t, kTickClasses>
+System::componentTicks() const
+{
+    std::array<uint64_t, kTickClasses> t{};
+    for (uint32_t c = 0; c < cfg.numCores; ++c) {
+        t[size_t(TickClass::Core)] += cores[c]->wake().ticks();
+        t[size_t(TickClass::L1d)] += l1ds[c]->wake().ticks();
+        t[size_t(TickClass::L2)] += l2s[c]->wake().ticks();
+    }
+    t[size_t(TickClass::Llc)] = llcCache->wake().ticks();
+    t[size_t(TickClass::Dram)] = dramCtrl->wake().ticks();
+    return t;
+}
+
 uint64_t
 System::eventsDispatched() const
 {
     if (cfg.engine == EngineKind::Polled)
         return dispatchedEvents;
-    uint64_t n = llcCache->wake().ticks() + dramCtrl->wake().ticks();
-    for (uint32_t c = 0; c < cfg.numCores; ++c)
-        n += cores[c]->wake().ticks() + l1ds[c]->wake().ticks()
-             + l2s[c]->wake().ticks();
+    uint64_t n = 0;
+    for (uint64_t t : componentTicks())
+        n += t;
     return n;
 }
 
@@ -457,6 +470,7 @@ System::engineStats() const
     s.cyclesExecuted = executedCycles;
     s.cyclesSkipped = clock - executedCycles;
     s.eventsDispatched = eventsDispatched();
+    s.ticks = componentTicks();
     return s;
 }
 

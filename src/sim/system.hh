@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -97,6 +98,23 @@ struct SystemConfig
     uint64_t maxCyclesPerInstr = 2000;
 };
 
+/** Component classes whose gate-passed ticks EngineStats counts. */
+enum class TickClass
+{
+    Core,
+    L1d,
+    L2,
+    Llc,
+    Dram,
+    Count
+};
+
+inline constexpr size_t kTickClasses = size_t(TickClass::Count);
+
+/** Print names of the tick classes, in TickClass order. */
+inline constexpr const char *kTickClassNames[kTickClasses] = {
+    "core", "l1d", "l2", "llc", "dram"};
+
 /**
  * Simulation-speed counters over a System's lifetime (warmup included;
  * deterministic for a given engine, so they cache and compare cleanly).
@@ -113,6 +131,14 @@ struct EngineStats
      * Event; every component every cycle under Polled.
      */
     uint64_t eventsDispatched = 0;
+
+    /**
+     * Ticks that passed the wake-hint gate, per component class
+     * (summed over cores; indexed by TickClass). The same on both
+     * engines, since both gate every tick; under Event they sum to
+     * eventsDispatched.
+     */
+    std::array<uint64_t, kTickClasses> ticks{};
 
     const char *kindName() const { return engineKindName(kind); }
 
@@ -234,6 +260,9 @@ class System
 
     /** Minimum wake hint over every component (kNeverWake if none). */
     Cycle minWakeHint() const;
+
+    /** EngineStats::ticks: gate-passed ticks per component class. */
+    std::array<uint64_t, kTickClasses> componentTicks() const;
 
     /** EngineStats::eventsDispatched for this system's engine. */
     uint64_t eventsDispatched() const;

@@ -2,8 +2,9 @@
  * @file
  * Cache model tests against a scripted lower level: hit/miss timing,
  * MSHR merging and back-pressure, writeback behaviour, prefetch fill
- * targeting, and the useful/useless/late accounting the paper's
- * metrics depend on.
+ * targeting, the useful/useless/late accounting the paper's
+ * metrics depend on, and the full-MSHR sleep's lazily accounted
+ * stall counters against a cache ticked on every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -274,6 +275,86 @@ TEST_F(CacheTest, SetsForComputesGeometry)
     EXPECT_EQ(CacheParams::setsFor(48 * 1024, 12), 64u);
     EXPECT_EQ(CacheParams::setsFor(512 * 1024, 8), 1024u);
     EXPECT_EQ(CacheParams::setsFor(2 * 1024 * 1024, 16), 2048u);
+}
+
+// ---- full-MSHR sleep ------------------------------------------------
+
+TEST(CacheWakeTest, FullMshrSleepStallCountersMatchEveryCycle)
+{
+    // An MSHR-starved L2 (one MSHR), twice: `gated` ticks through its
+    // wake-hint gate and sleeps while its queue heads wait on the full
+    // MSHR file; `every` is forced to tick on every cycle and counts
+    // each stall as it happens. Read mid-sleep, reset mid-sleep and
+    // read at the end, the lazily settled counters must agree.
+    Cycle clock = 0;
+    CacheParams p;
+    p.name = "L2-test";
+    p.level = levelL2;
+    p.sets = 16;
+    p.ways = 2;
+    p.mshrs = 1;
+    FakeMemory mem_gated(&clock, 50);
+    FakeMemory mem_every(&clock, 50);
+    Cache gated(p, &mem_gated, &clock);
+    Cache every(p, &mem_every, &clock);
+    test::TimedReceiver rx_gated(&clock);
+    test::TimedReceiver rx_every(&clock);
+
+    auto send = [&](Addr a, AccessType type) {
+        Request r;
+        r.paddr = a;
+        r.type = type;
+        r.fillLevel = levelL2;
+        bool read = type != AccessType::Prefetch;
+        r.requester = read ? &rx_gated : nullptr;
+        ASSERT_TRUE(gated.sendRequest(r));
+        r.requester = read ? &rx_every : nullptr;
+        ASSERT_TRUE(every.sendRequest(r));
+    };
+    auto run = [&](Cycle cycles) {
+        for (Cycle i = 0; i < cycles; ++i) {
+            gated.tick();
+            mem_gated.tick();
+            test::forceTick(every, clock);
+            mem_every.tick();
+            ++clock;
+        }
+    };
+    auto expect_agree = [&](const char *when) {
+        EXPECT_EQ(gated.stats().mshrFullStall, every.stats().mshrFullStall)
+            << when;
+        EXPECT_EQ(gated.stats().pfMshrWait, every.stats().pfMshrWait)
+            << when;
+    };
+
+    // The first read takes the only MSHR; the second read and the
+    // prefetch (L2-targeted: it waits rather than demotes) queue up
+    // behind it, and so do the reads after them.
+    send(0x1000, AccessType::Load);
+    send(0x2000, AccessType::Load);
+    send(0x3000, AccessType::Prefetch);
+    send(0x4000, AccessType::Rfo);
+    send(0x5000, AccessType::Load);
+
+    run(20);
+    ASSERT_GT(gated.wake().hint(), clock) << "asleep on the full MSHRs";
+    EXPECT_GT(every.stats().mshrFullStall, 0u);
+    EXPECT_GT(every.stats().pfMshrWait, 0u);
+    expect_agree("mid-sleep");
+
+    run(10);
+    ASSERT_GT(gated.wake().hint(), clock) << "still asleep";
+    gated.resetStats();
+    every.resetStats();
+    run(10);
+    EXPECT_EQ(every.stats().mshrFullStall, 10u);
+    expect_agree("after a mid-sleep reset");
+
+    run(500);
+    EXPECT_EQ(rx_every.fills.size(), 4u);
+    EXPECT_EQ(rx_gated.fills, rx_every.fills);
+    expect_agree("drained");
+    EXPECT_LT(gated.wake().ticks(), every.wake().ticks() / 4);
 }
 
 } // namespace

@@ -2,12 +2,14 @@
  * @file
  * DRAM controller tests: Table II timing derivation, row-buffer
  * effects, bank-level parallelism, FR-FCFS with the starvation guard,
- * write-drain hysteresis, and the bandwidth ceiling implied by
- * 3200 MTPS over a 64-bit bus.
+ * write-drain hysteresis, the bandwidth ceiling implied by
+ * 3200 MTPS over a 64-bit bus, and the exactness of the controller's
+ * wake hint against a controller ticked on every cycle.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "sim/dram.hh"
 #include "test_util.hh"
 
@@ -238,6 +240,147 @@ TEST_F(DramTest, MultiChannelPartitionsBlocks)
         dram->sendRequest(read(0x900000 + i * 64, &rx));
     run(130);
     EXPECT_EQ(rx.fills.size(), 4u);
+}
+
+// ---- wake-hint exactness --------------------------------------------
+
+/**
+ * Two identical controllers fed the same requests on the same cycles:
+ * `gated` ticks through its wake-hint gate, as both engines do, and
+ * `every` is forced to tick on every cycle. An exact hint makes them
+ * agree on every completion (cycle and order) and every counter.
+ */
+class DramPair
+{
+  public:
+    explicit DramPair(const DramParams &p)
+        : gated(p, &clock), every(p, &clock), rxGated(&clock),
+          rxEvery(&clock)
+    {
+    }
+
+    /** Offer @p r to both controllers; they must agree on acceptance. */
+    void
+    send(Addr paddr, AccessType type)
+    {
+        Request r;
+        r.paddr = paddr;
+        r.type = type;
+        bool write = type == AccessType::Writeback;
+        r.requester = write ? nullptr : &rxGated;
+        bool a = gated.sendRequest(r);
+        r.requester = write ? nullptr : &rxEvery;
+        bool b = every.sendRequest(r);
+        EXPECT_EQ(a, b) << "cycle " << clock;
+    }
+
+    void
+    run(Cycle cycles)
+    {
+        for (Cycle i = 0; i < cycles; ++i) {
+            gated.tick();
+            test::forceTick(every, clock);
+            ++clock;
+        }
+    }
+
+    void
+    expectAgree() const
+    {
+        EXPECT_EQ(rxGated.fills, rxEvery.fills);
+        const DramStats &g = gated.stats();
+        const DramStats &e = every.stats();
+        EXPECT_EQ(g.reads, e.reads);
+        EXPECT_EQ(g.writes, e.writes);
+        EXPECT_EQ(g.rowHits, e.rowHits);
+        EXPECT_EQ(g.rowMisses, e.rowMisses);
+        EXPECT_EQ(g.busBusyCycles, e.busBusyCycles);
+        EXPECT_EQ(g.readLatencySum, e.readLatencySum);
+        EXPECT_EQ(gated.recentUtilization(), every.recentUtilization());
+        // Not vacuous: the gated controller actually slept.
+        EXPECT_LT(gated.wake().ticks(), every.wake().ticks());
+    }
+
+    Cycle clock = 0;
+    Dram gated;
+    Dram every;
+    test::TimedReceiver rxGated;
+    test::TimedReceiver rxEvery;
+};
+
+/** Block address of (bank, row, column) on a 1-channel, 8-bank map. */
+Addr
+bankRowCol(uint64_t bank, uint64_t row, uint64_t col)
+{
+    const uint64_t blocks_per_row = 2048 / blockSize;
+    return ((row * blocks_per_row + col) * 8 + bank) * blockSize;
+}
+
+TEST(DramWakeTest, BypassResetWhileEveryBankIsBusyMatchesEveryCycle)
+{
+    DramParams p;
+    p.channels = 1;
+    p.ranksPerChannel = 1;
+    DramPair d(p);
+
+    // Open bank 0's row 0.
+    d.send(bankRowCol(0, 0, 0), AccessType::Load);
+    d.run(300);
+
+    // An older row miss, then a run of row hits, all on bank 0. Each
+    // hit bypasses the miss (rowHitBypasses becomes 1) and leaves the
+    // only queued bank busy; the busy cycles that follow pass the bus
+    // horizon with no ready bank, which resets the count. Were the
+    // reset skipped, the reorder bound would trip after 8 hits and
+    // serve the miss early.
+    const Addr miss = bankRowCol(0, 1, 0);
+    d.send(miss, AccessType::Load);
+    for (uint64_t col = 1; col <= 12; ++col)
+        d.send(bankRowCol(0, 0, col), AccessType::Load);
+    d.run(3000);
+
+    ASSERT_EQ(d.rxEvery.fills.size(), 14u);
+    EXPECT_EQ(d.rxEvery.fills.back().second, miss)
+        << "every hit is served before the bypassed miss";
+    d.expectAgree();
+}
+
+TEST(DramWakeTest, RandomTrafficMatchesEveryCycle)
+{
+    // Bursts of mixed reads and writebacks over a few rows per bank:
+    // row hits and conflicts, bus-horizon stalls (sequential streams
+    // over 16 banks outrun the bus), read-queue back-pressure, and
+    // write-drain flips in both directions. 1 and 2 channels x ranks.
+    for (uint32_t n : {1u, 2u}) {
+        DramParams p;
+        p.channels = n;
+        p.ranksPerChannel = n;
+        DramPair d(p);
+        Rng rng(0x5eed + n);
+        const uint64_t blocks = n * n * 8 * 32 * 3;
+        uint64_t next_block = 0;
+        for (int phase = 0; phase < 40; ++phase) {
+            bool burst = phase % 2 == 0;
+            bool sequential = rng.below(2) == 0;
+            uint64_t write_pct = rng.below(4) * 25; // 0..75%
+            for (Cycle t = 0; t < 400; ++t) {
+                uint64_t sends = burst ? rng.below(3) : rng.below(8) == 0;
+                for (uint64_t i = 0; i < sends; ++i) {
+                    uint64_t block = sequential ? next_block++ % blocks
+                                                : rng.below(blocks);
+                    Addr a = blockSize * block;
+                    d.send(a, rng.below(100) < write_pct
+                                  ? AccessType::Writeback
+                                  : AccessType::Load);
+                }
+                d.run(1);
+            }
+        }
+        d.run(20000);
+        EXPECT_GT(d.every.stats().writes, 0u) << n;
+        EXPECT_GT(d.every.stats().rowHits, 0u) << n;
+        d.expectAgree();
+    }
 }
 
 } // namespace

@@ -237,8 +237,9 @@ TEST(EngineStatsTest, WorkCountersArePinnedAndNeverExceedPolled)
 {
     EXPECT_TRUE(kScalePinned);
     const WorkPin pins[] = {
-        {"canneal", "", 24831, 32948},     // pointer chase: 92% idle
-        {"leslie3d", "gaze", 10472, 17184}, // dense stream
+        {"canneal", "", 14245, 22295},    // pointer chase: mostly idle
+        {"leslie3d", "gaze", 3798, 7621}, // dense stream
+        {"BFS-17", "", 48727, 66379},     // MSHR-bound: full-MSHR sleeps
     };
     for (const WorkPin &pin : pins) {
         std::string ctx = std::string(pin.workload) + " x "
@@ -260,6 +261,14 @@ TEST(EngineStatsTest, WorkCountersArePinnedAndNeverExceedPolled)
         // its gate: the loop only stops where some hint is due.
         EXPECT_GE(ev.engine.eventsDispatched, ev.engine.cyclesExecuted)
             << ctx;
+        // Both engines gate every tick on the same hints, so the
+        // per-component tick counts agree, and under Event they are
+        // exactly the dispatched events.
+        EXPECT_EQ(ev.engine.ticks, po.engine.ticks) << ctx;
+        uint64_t ticks = 0;
+        for (uint64_t t : ev.engine.ticks)
+            ticks += t;
+        EXPECT_EQ(ticks, ev.engine.eventsDispatched) << ctx;
     }
 }
 

@@ -140,8 +140,29 @@ struct DiffCase
     PfSpec pf;
     uint64_t warmup = 0;
     uint64_t sim = 0;
+    uint32_t l1dMshrs = 0; ///< 0 = SystemConfig default
+    uint32_t l2Mshrs = 0;  ///< 0 = SystemConfig default
     std::string label;
 };
+
+/**
+ * Sometimes starve the L1D/L2 MSHR files (1 or 2 entries), so queue
+ * heads wait on full MSHRs and the caches' full-MSHR sleep runs.
+ * @p starve is a stream of its own, so randomCase()'s draws stay as
+ * they were.
+ */
+void
+maybeStarveMshrs(Rng &starve, DiffCase &d)
+{
+    if (starve.below(3) == 0) {
+        d.l1dMshrs = 1 + uint32_t(starve.below(2));
+        d.label += " l1d_mshrs=" + std::to_string(d.l1dMshrs);
+    }
+    if (starve.below(3) == 0) {
+        d.l2Mshrs = 1 + uint32_t(starve.below(2));
+        d.label += " l2_mshrs=" + std::to_string(d.l2Mshrs);
+    }
+}
 
 DiffCase
 randomCase(Rng &rng, uint32_t max_cores, uint64_t warmup, uint64_t sim)
@@ -170,23 +191,37 @@ randomCase(Rng &rng, uint32_t max_cores, uint64_t warmup, uint64_t sim)
     return d;
 }
 
-RunResult
-runCase(const DiffCase &d, EngineKind kind)
+/** The run configuration of @p d (without observation). */
+RunConfig
+caseConfig(const DiffCase &d, EngineKind kind)
 {
     RunConfig cfg;
     cfg.warmupInstr = d.warmup;
     cfg.simInstr = d.sim;
     cfg.system.engine = kind;
-    Runner r(cfg);
+    if (d.l1dMshrs)
+        cfg.system.l1dMshrs = d.l1dMshrs;
+    if (d.l2Mshrs)
+        cfg.system.l2Mshrs = d.l2Mshrs;
+    return cfg;
+}
+
+RunResult
+runCase(const DiffCase &d, EngineKind kind)
+{
+    Runner r(caseConfig(d, kind));
     return r.runMix(d.mix, d.pf);
 }
 
 void
-runDifferentialTrials(Rng &rng, int trials, uint32_t max_cores,
+runDifferentialTrials(uint64_t seed, int trials, uint32_t max_cores,
                       uint64_t warmup, uint64_t sim)
 {
+    Rng rng(seed);
+    Rng starve(~seed);
     for (int t = 0; t < trials; ++t) {
         DiffCase d = randomCase(rng, max_cores, warmup, sim);
+        maybeStarveMshrs(starve, d);
         RunResult ref = runCase(d, EngineKind::Polled);
         ASSERT_GT(ref.instructionsRetired, 0u) << d.label;
         RunResult got = runCase(d, EngineKind::Event);
@@ -203,8 +238,8 @@ const EngineKind kEngines[] = {EngineKind::Polled, EngineKind::Event};
 TEST(EngineDiff, RandomConfigsAllEnginesMatchPolledBitwise)
 {
     EXPECT_TRUE(kScalePinned);
-    Rng rng(0xd1f5eed1);
-    runDifferentialTrials(rng, /*trials=*/5, /*max_cores=*/2,
+    runDifferentialTrials(/*seed=*/0xd1f5eed1, /*trials=*/5,
+                          /*max_cores=*/2,
                           /*warmup=*/1000, /*sim=*/4000);
 }
 
@@ -248,10 +283,7 @@ RunResult
 runCaseObserved(const DiffCase &d, EngineKind kind,
                 obs::TraceSink *sink, uint64_t interval)
 {
-    RunConfig cfg;
-    cfg.warmupInstr = d.warmup;
-    cfg.simInstr = d.sim;
-    cfg.system.engine = kind;
+    RunConfig cfg = caseConfig(d, kind);
     cfg.obs.trace = sink;
     cfg.obs.samplerInterval = interval;
     Runner r(cfg);
@@ -292,8 +324,8 @@ TEST(EngineDiff, ObservationOnMatchesObservationOffBitwise)
 TEST(EngineDiffDeep, ManyRandomConfigsAllEnginesMatchPolledBitwise)
 {
     EXPECT_TRUE(kScalePinned);
-    Rng rng(0xdeed1f);
-    runDifferentialTrials(rng, /*trials=*/12, /*max_cores=*/4,
+    runDifferentialTrials(/*seed=*/0xdeed1f, /*trials=*/12,
+                          /*max_cores=*/4,
                           /*warmup=*/2000, /*sim=*/8000);
 }
 

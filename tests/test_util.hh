@@ -1,15 +1,18 @@
 /**
  * @file
  * Shared fakes and helpers for the unit tests: a scriptable lower-level
- * memory device with fixed latency, a fill receiver that records
- * completions, and an issue-capturing prefetcher wrapper.
+ * memory device with fixed latency, fill receivers that record
+ * completions, an ungated-tick helper for wake-hint exactness checks,
+ * and an issue-capturing prefetcher wrapper.
  */
 
 #pragma once
 
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "sim/event.hh"
 #include "sim/prefetcher.hh"
 #include "sim/request.hh"
 
@@ -84,6 +87,37 @@ class FakeReceiver : public FillReceiver
 
     std::vector<Request> fills;
 };
+
+/** Records the delivery cycle and address of every completion. */
+class TimedReceiver : public FillReceiver
+{
+  public:
+    explicit TimedReceiver(const Cycle *clock_) : clock(clock_) {}
+
+    void
+    recvFill(const Request &req) override
+    {
+        fills.emplace_back(*clock, req.paddr);
+    }
+
+    std::vector<std::pair<Cycle, Addr>> fills;
+
+  private:
+    const Cycle *clock;
+};
+
+/**
+ * Tick @p component on cycle @p now even when its wake hint lies
+ * ahead: the ungated, every-cycle reference an exact wake hint must
+ * match (the component's own gate would make the tick a no-op).
+ */
+template <typename Component>
+void
+forceTick(Component &component, Cycle now)
+{
+    const_cast<TickEvent &>(component.wake()).requestWake(now);
+    component.tick();
+}
 
 /** One captured prefetch issue. */
 struct IssuedPf
