@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: standard header
- * printing, suite/prefetcher matrices, and representative trace lists.
+ * Shared helpers for the bench binaries: standard header printing,
+ * the multi-core prefetcher list, and representative trace lists.
  * All benches honor GAZE_SIM_SCALE for trace/interval scaling.
  */
 
@@ -34,14 +34,6 @@ banner(const char *experiment, const char *what)
                 "=========\n\n");
 }
 
-/** The nine Fig. 6 prefetchers in the paper's plotting order. */
-inline std::vector<std::string>
-fig6Prefetchers()
-{
-    return {"ip_stride", "spp_ppf", "ipcp", "vberti", "sms",
-            "bingo", "dspatch", "pmp", "gaze"};
-}
-
 /** The six multi-core prefetchers of Fig. 14. */
 inline std::vector<std::string>
 fig14Prefetchers()
@@ -49,7 +41,7 @@ fig14Prefetchers()
     return {"spp_ppf", "vberti", "bingo", "dspatch", "pmp", "gaze"};
 }
 
-/** Representative single-core traces used by Figs. 10/11/16-18. */
+/** Representative single-core traces (Fig. 11). */
 inline std::vector<std::string>
 representativeTraces()
 {

@@ -163,26 +163,13 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
                     row.level = first.level;
                     row.cores = first.cores;
                     row.suite = suite;
-                    std::vector<double> speedups;
-                    double acc = 0.0, cov = 0.0, late = 0.0;
-                    for (size_t wi = 0; wi < nw; ++wi) {
-                        if (campaign.workloads[wi].suite != suite)
-                            continue;
-                        const PrefetchMetrics &m =
-                            metrics[base_idx + wi];
-                        speedups.push_back(m.speedup);
-                        acc += m.accuracy;
-                        cov += m.coverage;
-                        late += m.lateFraction;
-                    }
+                    std::vector<const PrefetchMetrics *> members;
+                    for (size_t wi = 0; wi < nw; ++wi)
+                        if (campaign.workloads[wi].suite == suite)
+                            members.push_back(&metrics[base_idx + wi]);
                     row.workloads =
-                        static_cast<uint32_t>(speedups.size());
-                    if (row.workloads == 0)
-                        continue;
-                    row.summary.speedup = geomean(speedups);
-                    row.summary.accuracy = acc / row.workloads;
-                    row.summary.coverage = cov / row.workloads;
-                    row.summary.lateFraction = late / row.workloads;
+                        static_cast<uint32_t>(members.size());
+                    row.summary = summarizeSuite(members);
                     report.suites.push_back(std::move(row));
                 }
                 ++group;

@@ -38,9 +38,14 @@ parseCampaignSpec(const JsonValue &root)
         GAZE_FATAL("campaign spec: document must be a JSON object");
 
     CampaignSpec spec;
+    std::set<std::string> seen;
     for (const auto &member : root.members()) {
         const std::string &key = member.first;
         const JsonValue &v = member.second;
+        // A repeated key would let the last one silently replace an
+        // axis the reader of the file sees.
+        if (!seen.insert(key).second)
+            GAZE_FATAL("campaign spec: duplicate key \"", key, "\"");
         if (key == "name") {
             if (!v.isString() || v.asString().empty())
                 GAZE_FATAL("campaign spec: \"name\" must be a "

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,18 +26,6 @@ namespace
 {
 
 using namespace gaze;
-
-void
-writeText(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        GAZE_FATAL("cannot create '", path, "'");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out)
-        GAZE_FATAL("write failed on '", path, "'");
-}
 
 /** Aggregate + write the JSON (and optional CSV) report. */
 void
@@ -62,7 +49,7 @@ emitReport(const Campaign &campaign, const ResultCache &cache,
         opt.outPath.empty() ? doc.write() : doc.writeTo(opt.outPath);
     std::printf("report: %s\n", path.c_str());
     if (!opt.csvPath.empty()) {
-        writeText(opt.csvPath, report.csv);
+        writeTextFile(opt.csvPath, report.csv);
         std::printf("csv: %s\n", opt.csvPath.c_str());
     }
 }

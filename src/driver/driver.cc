@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -73,18 +72,6 @@ timelineCsv(const MatrixSpec &spec,
             append(spec.prefetchers[pi], spec.workloads[wi].name,
                    runs[pi * nw + wi].obsSamples);
     return csv;
-}
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        GAZE_FATAL("cannot create '", path, "'");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out)
-        GAZE_FATAL("write failed on '", path, "'");
 }
 
 } // namespace
@@ -242,23 +229,12 @@ runMatrix(const MatrixSpec &spec)
             SuiteOutcome so;
             so.prefetcher = spec.prefetchers[pi];
             so.suite = suite;
-            std::vector<double> speedups;
-            double acc = 0.0, cov = 0.0, late = 0.0;
-            for (size_t wi = 0; wi < nw; ++wi) {
-                if (spec.workloads[wi].suite != suite)
-                    continue;
-                const PrefetchMetrics &m =
-                    result.cells[pi * nw + wi].metrics;
-                speedups.push_back(m.speedup);
-                acc += m.accuracy;
-                cov += m.coverage;
-                late += m.lateFraction;
-            }
-            so.workloads = static_cast<uint32_t>(speedups.size());
-            so.summary.speedup = geomean(speedups);
-            so.summary.accuracy = acc / double(so.workloads);
-            so.summary.coverage = cov / double(so.workloads);
-            so.summary.lateFraction = late / double(so.workloads);
+            std::vector<const PrefetchMetrics *> members;
+            for (size_t wi = 0; wi < nw; ++wi)
+                if (spec.workloads[wi].suite == suite)
+                    members.push_back(&result.cells[pi * nw + wi].metrics);
+            so.workloads = static_cast<uint32_t>(members.size());
+            so.summary = summarizeSuite(members);
             result.suites.push_back(std::move(so));
         }
     }

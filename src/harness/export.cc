@@ -21,6 +21,18 @@ resultsDir()
 
 } // namespace
 
+void
+writeTextFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        GAZE_FATAL("cannot create '", path, "'");
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.close();
+    if (!out)
+        GAZE_FATAL("write failed on '", path, "'");
+}
+
 CsvExport::CsvExport(std::string name_)
     : name(std::move(name_))
 {
@@ -79,19 +91,6 @@ CsvExport::toCsv() const
     for (const auto &r : rows)
         emit(r);
     return os.str();
-}
-
-std::string
-CsvExport::write() const
-{
-    if (!enabled())
-        return {};
-    std::string path = std::string(resultsDir()) + "/" + name + ".csv";
-    std::ofstream out(path);
-    if (!out)
-        GAZE_FATAL("cannot write results file '", path, "'");
-    out << toCsv();
-    return path;
 }
 
 void
@@ -290,10 +289,7 @@ JsonExport::write() const
 std::string
 JsonExport::writeTo(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        GAZE_FATAL("cannot write results file '", path, "'");
-    out << text << '\n';
+    writeTextFile(path, text + '\n');
     return path;
 }
 

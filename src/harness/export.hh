@@ -1,11 +1,11 @@
 /**
  * @file
  * Machine-readable result export, mirroring the paper artifact's
- * json-directory workflow: when GAZE_RESULTS_DIR is set, every bench
- * writes its tables as CSV files there (one per experiment), so the
- * figures can be re-plotted without scraping stdout. The suite-runner
- * CLI additionally writes whole-matrix results as BENCH_<name>.json
- * documents through JsonWriter/JsonExport.
+ * json-directory workflow: gaze_sim, gaze_campaign and bench_engine
+ * write their results as BENCH_<name>.json documents through
+ * JsonWriter/JsonExport, into $GAZE_RESULTS_DIR when it is set, so
+ * the figures can be re-plotted without scraping stdout. CsvExport
+ * renders the campaign report's per-suite CSV.
  */
 
 #pragma once
@@ -17,11 +17,18 @@
 namespace gaze
 {
 
-/** A named grid of cells destined for "<dir>/<name>.csv". */
+/**
+ * Write @p text to @p path, replacing the file. Fatal, naming the
+ * path, when it cannot be created or the write fails (a full disk
+ * must never pass for a written result).
+ */
+void writeTextFile(const std::string &path, const std::string &text);
+
+/** A named grid of cells rendered as CSV text. */
 class CsvExport
 {
   public:
-    /** @param name experiment id, e.g. "fig06_speedup". */
+    /** @param name experiment id, e.g. "fig06_main". */
     explicit CsvExport(std::string name);
 
     /** Set the header row. */
@@ -30,14 +37,7 @@ class CsvExport
     /** Append a data row (quoted/escaped as needed). */
     void row(std::vector<std::string> cells);
 
-    /**
-     * Write to $GAZE_RESULTS_DIR/<name>.csv. No-op (returns empty)
-     * when the variable is unset; returns the written path otherwise.
-     * Fatal if the directory is not writable.
-     */
-    std::string write() const;
-
-    /** Render as CSV text (exposed for tests). */
+    /** Render as CSV text. */
     std::string toCsv() const;
 
     /** True when GAZE_RESULTS_DIR is configured. */
@@ -105,8 +105,8 @@ class JsonWriter
 
 /**
  * A named JSON result document destined for "BENCH_<name>.json",
- * written next to the CSVs in $GAZE_RESULTS_DIR (or to an explicit
- * path via writeTo, which the gaze_sim --out flag uses).
+ * written in $GAZE_RESULTS_DIR (or to an explicit path via writeTo,
+ * which the --out flags use).
  */
 class JsonExport
 {

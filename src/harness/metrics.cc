@@ -203,4 +203,24 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / double(values.size()));
 }
 
+SuiteSummary
+summarizeSuite(const std::vector<const PrefetchMetrics *> &members)
+{
+    GAZE_ASSERT(!members.empty(), "empty suite");
+    std::vector<double> speedups;
+    double acc = 0.0, cov = 0.0, late = 0.0;
+    for (const PrefetchMetrics *m : members) {
+        speedups.push_back(m->speedup);
+        acc += m->accuracy;
+        cov += m->coverage;
+        late += m->lateFraction;
+    }
+    SuiteSummary s;
+    s.speedup = geomean(speedups);
+    s.accuracy = acc / double(members.size());
+    s.coverage = cov / double(members.size());
+    s.lateFraction = late / double(members.size());
+    return s;
+}
+
 } // namespace gaze

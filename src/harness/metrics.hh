@@ -179,4 +179,23 @@ PrefetchMetrics computeMetrics(const RunResult &base,
 /** Geometric mean of speedups (suite aggregation). */
 double geomean(const std::vector<double> &values);
 
+/**
+ * One suite's aggregate (the bars of Figs. 6-8): geomean speedup and
+ * arithmetic-mean accuracy, coverage and late fraction.
+ */
+struct SuiteSummary
+{
+    double speedup = 1.0;
+    double accuracy = 0.0;
+    double coverage = 0.0;
+    double lateFraction = 0.0;
+};
+
+/**
+ * Aggregate the per-workload metrics of one suite, summed in the
+ * given order (reports depend on it bit for bit). Fatal when empty.
+ */
+SuiteSummary
+summarizeSuite(const std::vector<const PrefetchMetrics *> &members);
+
 } // namespace gaze

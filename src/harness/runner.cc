@@ -254,26 +254,4 @@ Runner::evaluateMix(const std::vector<WorkloadDef> &mix, const PfSpec &pf)
     return computeMetrics(base, r);
 }
 
-SuiteSummary
-evaluateSuite(Runner &runner, const std::vector<WorkloadDef> &workloads,
-              const PfSpec &pf)
-{
-    GAZE_ASSERT(!workloads.empty(), "empty suite");
-    std::vector<double> speedups;
-    double acc = 0.0, cov = 0.0, late = 0.0;
-    for (const auto &w : workloads) {
-        PrefetchMetrics m = runner.evaluate(w, pf);
-        speedups.push_back(m.speedup);
-        acc += m.accuracy;
-        cov += m.coverage;
-        late += m.lateFraction;
-    }
-    SuiteSummary s;
-    s.speedup = geomean(speedups);
-    s.accuracy = acc / double(workloads.size());
-    s.coverage = cov / double(workloads.size());
-    s.lateFraction = late / double(workloads.size());
-    return s;
-}
-
 } // namespace gaze

@@ -197,20 +197,4 @@ class Runner
     std::shared_ptr<BaselineCache> baselines;
 };
 
-/**
- * Suite-level helper: geometric-mean speedup of @p pf over the
- * workloads of @p suite (the bars of Figs. 6-8).
- */
-struct SuiteSummary
-{
-    double speedup = 1.0;
-    double accuracy = 0.0;
-    double coverage = 0.0;
-    double lateFraction = 0.0;
-};
-
-SuiteSummary evaluateSuite(Runner &runner,
-                           const std::vector<WorkloadDef> &workloads,
-                           const PfSpec &pf);
-
 } // namespace gaze

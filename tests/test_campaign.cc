@@ -144,6 +144,14 @@ TEST(CampaignSpecParse, FatalSpecErrors)
         parseCampaignSpec(parseSpecText(
             R"({"name":"x","prefetchers":["gaze"],"levels":["l3"]})")),
         "unknown attach level");
+    // A repeated key dies naming it instead of dropping the first
+    // occurrence's axis.
+    EXPECT_EXIT(
+        parseCampaignSpec(parseSpecText(
+            R"({"name":"d","prefetchers":["gaze","pmp"],)"
+            R"("workloads":["mcf"],"prefetchers":["ip_stride"]})")),
+        testing::ExitedWithCode(1),
+        "duplicate key \"prefetchers\"");
     // Suites are validated even when "workloads" overrides them — a
     // typo'd axis must never be silently dropped.
     EXPECT_DEATH(

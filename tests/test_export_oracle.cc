@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 
 #include "harness/export.hh"
 #include "harness/runner.hh"
@@ -38,27 +37,19 @@ TEST(CsvExport, RendersEscapedCsv)
 TEST(CsvExport, DisabledWithoutEnv)
 {
     unsetenv("GAZE_RESULTS_DIR");
-    CsvExport csv("unit2");
-    csv.header({"x"});
-    csv.row({"1"});
     EXPECT_FALSE(CsvExport::enabled());
-    EXPECT_TRUE(csv.write().empty());
+    EXPECT_EQ(JsonExport("unit2", "{}").defaultPath(),
+              "BENCH_unit2.json");
 }
 
-TEST(CsvExport, WritesFileWhenEnabled)
+// A write that fails after open (here: the device is full) must die
+// like an open failure, never report the path as written.
+TEST(JsonExportDeath, FailedWriteIsFatal)
 {
-    setenv("GAZE_RESULTS_DIR", "/tmp", 1);
-    CsvExport csv("gaze_export_test");
-    csv.header({"x", "y"});
-    csv.row({"1", "2"});
-    std::string path = csv.write();
-    ASSERT_EQ(path, "/tmp/gaze_export_test.csv");
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "x,y");
-    unsetenv("GAZE_RESULTS_DIR");
-    std::remove(path.c_str());
+    EXPECT_EXIT(JsonExport("unit4", "{}").writeTo("/dev/full"),
+                testing::ExitedWithCode(1), "write failed on '/dev/full'");
+    EXPECT_EXIT(writeTextFile("/dev/full", "a,b\n"),
+                testing::ExitedWithCode(1), "write failed");
 }
 
 TEST(CsvExportDeath, RowWidthMismatch)

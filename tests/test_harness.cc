@@ -246,9 +246,20 @@ TEST(Runner, SuiteSummaryAggregates)
                              p.records = 40000;
                              return genStream(p);
                          }});
-    SuiteSummary sum = evaluateSuite(runner, suite, PfSpec{"gaze"});
+    std::vector<PrefetchMetrics> cells;
+    for (const auto &w : suite)
+        cells.push_back(runner.evaluate(w, PfSpec{"gaze"}));
+    SuiteSummary sum = summarizeSuite({&cells[0], &cells[1]});
     EXPECT_GT(sum.speedup, 0.9);
     EXPECT_GE(sum.accuracy, 0.0);
+    EXPECT_DOUBLE_EQ(sum.speedup,
+                     geomean({cells[0].speedup, cells[1].speedup}));
+    EXPECT_DOUBLE_EQ(sum.accuracy,
+                     (cells[0].accuracy + cells[1].accuracy) / 2);
+    EXPECT_DOUBLE_EQ(sum.coverage,
+                     (cells[0].coverage + cells[1].coverage) / 2);
+    EXPECT_DOUBLE_EQ(sum.lateFraction,
+                     (cells[0].lateFraction + cells[1].lateFraction) / 2);
 }
 
 } // namespace
