@@ -14,7 +14,11 @@
 #   5. a respelled spec (non-canonical prefetcher spellings: explicit
 #      defaults, reordered options) against the warm cache is 100%
 #      cache hits with a byte-identical report — cache identity is
-#      spelling-invariant.
+#      spelling-invariant,
+#   6. a 3-workload x 2-prefetcher campaign run with --threads=1 and
+#      with --threads=4 into fresh caches writes byte-identical
+#      reports (jobs share one generated trace per workload and are
+#      submitted in an interleaved order; neither may move a result).
 set -eu
 
 BIN=$1
@@ -97,5 +101,27 @@ echo "== compare against self"
     --out=report_cmp.json --compare=report1.json
 grep -q '"speedup_delta":0[,}]' report_cmp.json
 echo "OK: self-compare delta is exactly 0"
+
+echo "== 1 thread vs 4 threads, fresh caches"
+cat > spec_threads.json <<'EOF'
+{
+  "name": "smoke_threads",
+  "prefetchers": ["ip_stride", "gaze"],
+  "workloads": ["leslie3d", "mcf", "lbm"],
+  "warmup": 2000,
+  "sim": 8000
+}
+EOF
+"$BIN" run --spec=spec_threads.json --cache-dir=cache_t1 --quiet \
+    --threads=1 --out=report_t1.json --csv=report_t1.csv > t1.txt
+cat t1.txt
+grep -q "executed 9 simulation(s), 0 cache hit(s)" t1.txt
+"$BIN" run --spec=spec_threads.json --cache-dir=cache_t4 --quiet \
+    --threads=4 --out=report_t4.json --csv=report_t4.csv > t4.txt
+cat t4.txt
+grep -q "executed 9 simulation(s), 0 cache hit(s)" t4.txt
+cmp report_t1.json report_t4.json
+cmp report_t1.csv report_t4.csv
+echo "OK: --threads=1 and --threads=4 reports are byte-identical"
 
 echo "campaign_smoke: all stages passed"

@@ -10,6 +10,7 @@
 #include "harness/runner.hh"
 #include "harness/wallclock.hh"
 #include "obs/trace.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -51,11 +52,12 @@ expandCampaignJobs(const Campaign &campaign)
 
 CellRecord
 executeCampaignJob(const RunConfig &run, const CampaignJob &job,
-                   const std::shared_ptr<BaselineCache> &baselines)
+                   const std::shared_ptr<BaselineCache> &baselines,
+                   TraceStore *traces)
 {
     obs::HostSpan cellSpan(obs::globalTrace(), "cell " + job.label);
     WallTimer cellTimer;
-    Runner runner(run, baselines);
+    Runner runner(run, baselines, traces);
     std::vector<WorkloadDef> mix(job.cores, job.workload);
     RunResult r = runner.runMix(mix, job.pf);
 
@@ -114,14 +116,24 @@ runCampaign(const Campaign &campaign, ResultCache &cache,
 
     stats.threadsUsed = resolvePoolThreads(opt.threads, toRun.size());
     if (!toRun.empty()) {
+        // Each trace is generated once for this run and shared by its
+        // jobs. Only the submission order changes (shards were
+        // assigned above): interleaving bounds the live buffers.
+        std::vector<const WorkloadDef *> planned;
+        for (const CampaignJob *job : toRun)
+            planned.push_back(&job->workload);
+        TraceStore traces(planned);
+
         // Host-time tracing (--obs-trace): one span for the whole
         // shard, one per cell job on its worker thread's track.
         obs::HostSpan shardSpan(obs::globalTrace(), "campaign shard");
         ThreadPool pool(stats.threadsUsed);
-        for (const CampaignJob *job : toRun) {
+        for (size_t i : interleavedJobOrder(planned, stats.threadsUsed)) {
+            const CampaignJob *job = toRun[i];
             pool.submit([&, job] {
-                CellRecord rec =
-                    executeCampaignJob(campaign.spec.run, *job);
+                CellRecord rec = executeCampaignJob(campaign.spec.run, *job,
+                                                    nullptr, &traces);
+                traces.release(job->workload);
                 cache.store(job->hash, rec);
                 executed.fetch_add(1, std::memory_order_relaxed);
                 progress(*job, rec.seconds);

@@ -34,6 +34,7 @@ namespace gaze
 {
 
 class BaselineCache;
+class TraceStore;
 
 /** One executable unit of a campaign: a baseline or a prefetcher cell. */
 struct CampaignJob
@@ -54,6 +55,8 @@ struct CampaignJob
  * count twice expands to duplicate cells; running both would race on
  * one cache file). Shards derive their assignment from this
  * sequence, so the dedup happens here, before any partitioning.
+ * runCampaign only assigns by this order: it submits its share to
+ * the pool in interleavedJobOrder (workloads/trace_store.hh).
  */
 std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
 
@@ -61,12 +64,15 @@ std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
  * Simulate one job to completion and return its cell record (the
  * caller publishes it to a ResultCache). Emits the per-cell host-time
  * span on the calling thread's track. Pass a shared @p baselines cache
- * to deduplicate baseline simulations across concurrent jobs.
+ * to deduplicate baseline simulations across concurrent jobs, and a
+ * @p traces store that planned this job to read its trace from the
+ * store (the caller releases the job's workload afterwards).
  */
 CellRecord executeCampaignJob(const RunConfig &run,
                               const CampaignJob &job,
                               const std::shared_ptr<BaselineCache>
-                                  &baselines = nullptr);
+                                  &baselines = nullptr,
+                              TraceStore *traces = nullptr);
 
 /** Execution knobs for one campaign run. */
 struct CampaignRunOptions
@@ -103,6 +109,9 @@ struct CampaignRunStats
 
 /**
  * Execute the campaign's missing cells + baselines into @p cache.
+ * Each generator-backed trace is generated at most once per call
+ * (a TraceStore scoped to the call; see workloads/trace_store.hh),
+ * lazily, so a run with nothing to execute generates nothing.
  * Fatal on invalid shard options; I/O failures inside workers are
  * fatal (a campaign with an unwritable cache cannot make progress).
  */

@@ -197,19 +197,33 @@ class LruTable
     }
 
     /**
-     * Visit every valid entry as fn(set, tag, EntryT&). Iteration order
-     * is unspecified; mutation of payloads is allowed.
+     * Visit every valid entry as fn(set, tag, EntryT&), set by set in
+     * ascending way order; mutation of payloads is allowed.
      */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (size_t set = 0; set < numSets; ++set) {
-            for (size_t w = 0; w < numWays; ++w) {
-                size_t i = set * numWays + w;
-                if (stamps[i] != 0)
-                    fn(set, tags[i], payload[i]);
-            }
+        for (size_t set = 0; set < numSets; ++set)
+            forEachInSet(set, [&](uint64_t tag, EntryT &e) {
+                fn(set, tag, e);
+            });
+    }
+
+    /**
+     * Visit the valid entries of @p set as fn(tag, EntryT&), in the
+     * order forEach() visits them: O(ways), not O(capacity).
+     */
+    template <typename Fn>
+    void
+    forEachInSet(uint64_t set, Fn &&fn)
+    {
+        checkSet(set);
+        size_t base = set * numWays;
+        for (size_t w = 0; w < numWays; ++w) {
+            size_t i = base + w;
+            if (stamps[i] != 0)
+                fn(tags[i], payload[i]);
         }
     }
 

@@ -46,15 +46,13 @@ PatternHistoryTable::lookupApprox(const InitialAccesses &event)
 {
     if (const Bitset *exact = table.find(indexOf(event), tagOf(event)))
         return exact;
-    // Partial match: any pattern whose trigger offset matches. Pick
-    // the one with the highest LRU recency by scanning the set.
-    const Bitset *best = nullptr;
-    uint64_t set = indexOf(event);
-    table.forEach([&](uint64_t s, uint64_t, Bitset &fp) {
-        if (s == set)
-            best = &fp; // forEach visits in way order; any way works
-    });
-    return best;
+    // Partial match: any pattern whose trigger offset matches, i.e.
+    // any valid way of the indexed set. The last valid way in way
+    // order wins; that is not the most recently used one.
+    const Bitset *last = nullptr;
+    table.forEachInSet(indexOf(event),
+                       [&](uint64_t, Bitset &fp) { last = &fp; });
+    return last;
 }
 
 size_t

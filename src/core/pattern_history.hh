@@ -63,8 +63,9 @@ class PatternHistoryTable
 
     /**
      * Approximate lookup for the strictMatch=false ablation: on a tag
-     * miss, fall back to the most recently used pattern in the
-     * indexed set (trigger matches, later offsets may not).
+     * miss, fall back to the pattern in the last valid way of the
+     * indexed set, in way order (trigger matches, later offsets may
+     * not). Way order is not recency: the pick ignores LRU state.
      */
     const Bitset *lookupApprox(const InitialAccesses &event);
 

@@ -15,6 +15,7 @@
 #include "harness/export.hh"
 #include "harness/wallclock.hh"
 #include "harness/table.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -133,6 +134,13 @@ runMatrix(const MatrixSpec &spec)
     cellRun.obs.samplerInterval =
         spec.obsTimelinePath.empty() ? 0 : spec.obsInterval;
 
+    // Each workload's trace is generated once for the whole matrix
+    // (its baseline and every prefetcher row read one buffer).
+    std::vector<const WorkloadDef *> planned;
+    for (size_t j = 0; j < jobs; ++j)
+        planned.push_back(&spec.workloads[j % nw]);
+    TraceStore traces(planned);
+
     std::atomic<uint64_t> totalInstr{0}, totalEvents{0};
     std::atomic<uint64_t> totalExecuted{0}, totalSkipped{0};
     std::array<std::atomic<uint64_t>, kTickClasses> totalTicks{};
@@ -143,10 +151,11 @@ runMatrix(const MatrixSpec &spec)
             "cell " + (pf.isNone() ? "baseline" : pf.label()) + " x "
                 + w.name);
         WallTimer cellTimer;
-        Runner runner(cellRun, sharedBaselines);
+        Runner runner(cellRun, sharedBaselines, &traces);
         std::vector<WorkloadDef> mix(spec.cores, w);
         *out = pf.isNone() ? runner.baselineMix(mix)
                            : runner.runMix(mix, pf);
+        traces.release(w);
         double dt = cellTimer.seconds();
         if (secs)
             *secs = dt;
@@ -164,25 +173,28 @@ runMatrix(const MatrixSpec &spec)
         progress(pf.isNone() ? "baseline" : pf.label(), w.name, dt);
     };
 
+    // Job j < nw is workload j's baseline; job nw + pi * nw + wi is
+    // prefetcher pi on workload wi. Submission interleaves workloads
+    // (see interleavedJobOrder) so few trace buffers are live at once.
+    std::vector<PfSpec> pfs;
+    for (const auto &p : spec.prefetchers)
+        pfs.push_back(pfSpecAt(p, spec.level));
     MatrixResult result;
     result.threadsUsed = resolvePoolThreads(spec.threads, jobs);
     {
         ThreadPool pool(result.threadsUsed);
-        for (size_t wi = 0; wi < nw; ++wi) {
-            pool.submit([&, wi] {
-                runCell(spec.workloads[wi], PfSpec{}, &baselines[wi],
-                        nullptr);
+        for (size_t j : interleavedJobOrder(planned, result.threadsUsed)) {
+            const size_t wi = j % nw;
+            pool.submit([&, j, wi] {
+                if (j < nw) {
+                    runCell(spec.workloads[wi], PfSpec{}, &baselines[wi],
+                            nullptr);
+                } else {
+                    const size_t cell = j - nw;
+                    runCell(spec.workloads[wi], pfs[cell / nw],
+                            &runs[cell], &cellSeconds[cell]);
+                }
             });
-        }
-        for (size_t pi = 0; pi < np; ++pi) {
-            PfSpec pf = pfSpecAt(spec.prefetchers[pi], spec.level);
-            for (size_t wi = 0; wi < nw; ++wi) {
-                size_t cell = pi * nw + wi;
-                pool.submit([&, pf, cell, wi] {
-                    runCell(spec.workloads[wi], pf, &runs[cell],
-                            &cellSeconds[cell]);
-                });
-            }
         }
         pool.wait();
     }

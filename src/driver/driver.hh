@@ -131,9 +131,10 @@ struct MatrixResult
 };
 
 /**
- * Run the matrix: baselines first (one per workload, shared by every
- * prefetcher row), then all prefetcher cells, all on the pool. Fatal
- * on empty axes or an unknown level.
+ * Run the matrix on the pool: one baseline per workload (shared by
+ * every prefetcher row) plus every prefetcher cell, each workload's
+ * trace generated once for the whole matrix. Fatal on empty axes or
+ * an unknown level.
  */
 MatrixResult runMatrix(const MatrixSpec &spec);
 

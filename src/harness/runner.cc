@@ -10,6 +10,7 @@
 #include "obs/trace.hh"
 #include "prefetchers/factory.hh"
 #include "prefetchers/registry.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -140,8 +141,9 @@ RunConfig::effectiveSim() const
 }
 
 Runner::Runner(const RunConfig &config,
-               std::shared_ptr<BaselineCache> baselines_)
-    : cfg(config), baselines(std::move(baselines_))
+               std::shared_ptr<BaselineCache> baselines_,
+               TraceStore *traces_)
+    : cfg(config), baselines(std::move(baselines_)), traces(traces_)
 {
     if (!baselines)
         baselines = std::make_shared<BaselineCache>();
@@ -154,12 +156,12 @@ Runner::execute(const std::vector<WorkloadDef> &mix, const PfSpec &pf)
     sys_cfg.numCores = static_cast<uint32_t>(mix.size());
     System sys(sys_cfg);
 
-    std::vector<std::unique_ptr<TraceSource>> traces;
-    traces.reserve(mix.size());
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    sources.reserve(mix.size());
     for (const auto &w : mix)
-        traces.push_back(w.open());
+        sources.push_back(traces ? traces->open(w) : w.open());
     for (uint32_t c = 0; c < sys.numCores(); ++c)
-        sys.setTrace(c, traces[c].get());
+        sys.setTrace(c, sources[c].get());
 
     for (uint32_t c = 0; c < sys.numCores(); ++c) {
         sys.setL1Prefetcher(c, makePrefetcher(pf.l1));

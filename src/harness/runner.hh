@@ -29,6 +29,8 @@ namespace obs
 class TraceSink;
 }
 
+class TraceStore;
+
 /**
  * Observability attachments for a run. Deliberately NOT part of the
  * canonical cell text (harness/cell_key): obs never perturbs simulated
@@ -160,12 +162,16 @@ class BaselineCache
  * itself is not thread safe, but its baseline cache may be shared: by
  * default each Runner owns a private BaselineCache; pass a shared one
  * to deduplicate baselines across Runners and across pool workers.
+ * Likewise traces: by default every run opens (regenerates) its own
+ * via WorkloadDef::open(); pass a batch's TraceStore (not owned; it
+ * must outlive the Runner) to read shared buffers instead.
  */
 class Runner
 {
   public:
     explicit Runner(const RunConfig &config,
-                    std::shared_ptr<BaselineCache> baselines = nullptr);
+                    std::shared_ptr<BaselineCache> baselines = nullptr,
+                    TraceStore *traces = nullptr);
 
     /** Single-core run of @p w with @p pf. */
     RunResult run(const WorkloadDef &w, const PfSpec &pf);
@@ -195,6 +201,7 @@ class Runner
 
     RunConfig cfg;
     std::shared_ptr<BaselineCache> baselines;
+    TraceStore *traces;
 };
 
 } // namespace gaze

@@ -1,7 +1,5 @@
 #include "prefetchers/bingo.hh"
 
-#include <vector>
-
 #include "prefetchers/registry.hh"
 
 namespace gaze
@@ -38,13 +36,17 @@ BingoPrefetcher::predictOnTrigger(const RegionInfo &info)
     // Pass 1: exact long-event match wins outright (TAGE-style).
     Entry *exact_entry = pht.find(set, lkey);
     const Bitset *exact = exact_entry ? &exact_entry->footprint : nullptr;
-    std::vector<const Bitset *> approx;
+    // Short-event matches can only live in the indexed set.
+    approx.clear();
     if (!exact) {
-        pht.forEach([&](uint64_t s, uint64_t, Entry &e) {
-            if (s == set && e.shortTag == skey)
+        pht.forEachInSet(set, [&](uint64_t, Entry &e) {
+            if (e.shortTag == skey)
                 approx.push_back(&e.footprint);
         });
     }
+
+    if (!exact && approx.empty())
+        return;
 
     PfPattern pat(regionBlocks(), PfLevel::None);
     if (exact) {
@@ -52,9 +54,9 @@ BingoPrefetcher::predictOnTrigger(const RegionInfo &info)
         for (size_t b = exact->findFirst(); b < exact->size();
              b = exact->findNext(b + 1))
             pat[b] = PfLevel::L1;
-    } else if (!approx.empty()) {
+    } else {
         ++approxHits;
-        std::vector<uint32_t> votes(regionBlocks(), 0);
+        votes.assign(regionBlocks(), 0);
         for (const Bitset *fp : approx)
             for (size_t b = fp->findFirst(); b < fp->size();
                  b = fp->findNext(b + 1))
@@ -67,8 +69,6 @@ BingoPrefetcher::predictOnTrigger(const RegionInfo &info)
             else if (share >= cfg.l2VoteShare)
                 pat[b] = PfLevel::L2;
         }
-    } else {
-        return;
     }
     installPattern(info, std::move(pat));
 }

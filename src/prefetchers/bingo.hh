@@ -11,6 +11,8 @@
 
 #pragma once
 
+#include <vector>
+
 #include "prefetchers/spatial_base.hh"
 
 namespace gaze
@@ -62,6 +64,14 @@ class BingoPrefetcher : public SpatialPatternPrefetcher
 
     BingoParams cfg;
     LruTable<Entry> pht;
+
+    /**
+     * Reused per-trigger scratch: the approximate-match footprints
+     * (pointers into pht, dead after the trigger) and their per-block
+     * vote counts, so a prediction allocates nothing.
+     */
+    std::vector<const Bitset *> approx;
+    std::vector<uint32_t> votes;
 
     uint64_t exactHits = 0;
     uint64_t approxHits = 0;

@@ -6,9 +6,10 @@
  * memory operand, and front-end stall events (standing in for branch
  * mispredictions / instruction misses, see DESIGN.md).
  *
- * Sources come in two flavors: the in-memory VectorTrace below (what
- * the generators emit) and the streaming FileTrace in
- * tracing/trace_io.hh, which replays a recorded .gzt file — both are
+ * Sources come in three flavors: the in-memory VectorTrace below
+ * (what the generators emit), the shared-buffer cursors of
+ * workloads/trace_store.hh, and the streaming FileTrace in
+ * tracing/trace_io.hh, which replays a recorded .gzt file — all are
  * interchangeable behind TraceSource, and a recorded replay is
  * bit-identical to the generator run it was recorded from.
  */
@@ -70,7 +71,14 @@ class TraceSource
     virtual void reset() = 0;
 };
 
-/** An in-memory trace (what the generators emit). */
+/**
+ * An in-memory trace that owns its records: what the generators emit
+ * and what WorkloadDef::open() hands out. Its cursor and its records
+ * are one object, so every VectorTrace is a private copy; the
+ * TraceStore (workloads/trace_store.hh) instead moves a generated
+ * VectorTrace's records into one immutable buffer that any number of
+ * read-only cursors share.
+ */
 class VectorTrace : public TraceSource
 {
   public:

@@ -46,7 +46,14 @@ struct WorkloadDef
     /** When non-empty, open() replays this .gzt instead of make(). */
     std::string traceFile;
 
-    /** The trace this workload runs from (generator or file). */
+    /**
+     * The trace this workload runs from: a FileTrace streaming
+     * @p traceFile when set, else a private VectorTrace from a fresh
+     * make() call — every open() regenerates. Runs that open a
+     * workload more than once (a campaign, a gaze_sim matrix, the
+     * cores of a homogeneous mix) read one shared buffer through a
+     * TraceStore instead (workloads/trace_store.hh).
+     */
     std::unique_ptr<TraceSource> open() const;
 };
 

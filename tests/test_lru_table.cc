@@ -8,6 +8,8 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/lru_table.hh"
 #include "common/rng.hh"
@@ -128,6 +130,52 @@ TEST(LruTable, ForEachVisitsAllValid)
     });
     EXPECT_EQ(tags.size(), 3u);
     EXPECT_EQ(sum, 60);
+}
+
+TEST(LruTable, ForEachInSetMatchesForEachPerSet)
+{
+    // Random inserts and erases leave holes in arbitrary ways; each
+    // set's scan must be exactly forEach's entries of that set, in
+    // forEach's order.
+    LruTable<int> t(16, 4);
+    Rng rng(7);
+    for (int i = 0; i < 400; ++i) {
+        uint64_t set = rng.below(t.sets());
+        uint64_t tag = rng.below(12);
+        if (rng.below(4) == 0)
+            t.erase(set, tag);
+        else
+            t.insert(set, tag, i);
+    }
+    using Visit = std::pair<uint64_t, int>;
+    std::map<uint64_t, std::vector<Visit>> all;
+    t.forEach([&](uint64_t set, uint64_t tag, int &v) {
+        all[set].push_back({tag, v});
+    });
+    size_t visited = 0;
+    for (uint64_t set = 0; set < t.sets(); ++set) {
+        std::vector<Visit> one;
+        t.forEachInSet(set, [&](uint64_t tag, int &v) {
+            one.push_back({tag, v});
+        });
+        EXPECT_EQ(one, all[set]) << "set " << set;
+        visited += one.size();
+    }
+    EXPECT_EQ(visited, t.occupancy());
+    EXPECT_GT(visited, 0u);
+    EXPECT_LT(visited, t.capacity()); // the erases left holes
+
+    // Way order, not recency: a set fills its free ways first to last,
+    // and a refilled hole is visited where its way sits.
+    LruTable<int> s(2, 4);
+    for (uint64_t tag : {30, 10, 20})
+        s.insert(1, tag, 0);
+    s.erase(1, 10);
+    s.insert(1, 40, 0);
+    s.find(1, 30); // touching LRU state must not reorder the scan
+    std::vector<uint64_t> order;
+    s.forEachInSet(1, [&](uint64_t tag, int &) { order.push_back(tag); });
+    EXPECT_EQ(order, (std::vector<uint64_t>{30, 40, 20}));
 }
 
 TEST(LruTable, ClearEmptiesEverything)
