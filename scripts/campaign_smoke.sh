@@ -18,7 +18,9 @@
 #   6. a 3-workload x 2-prefetcher campaign run with --threads=1 and
 #      with --threads=4 into fresh caches writes byte-identical
 #      reports (jobs share one generated trace per workload and are
-#      submitted in an interleaved order; neither may move a result).
+#      submitted in an interleaved order; neither may move a result),
+#   7. a spec with an L1+L2 pair entry and two named systems does the
+#      same, and its rerun is 100% cache hits.
 set -eu
 
 BIN=$1
@@ -123,5 +125,40 @@ grep -q "executed 9 simulation(s), 0 cache hit(s)" t4.txt
 cmp report_t1.json report_t4.json
 cmp report_t1.csv report_t4.csv
 echo "OK: --threads=1 and --threads=4 reports are byte-identical"
+
+echo "== L1+L2 pair x two systems: 1 thread vs 4 threads, then rerun"
+cat > spec_axes.json <<'EOF'
+{
+  "name": "smoke_axes",
+  "prefetchers": ["gaze", ["ip_stride", "bingo"]],
+  "workloads": ["leslie3d", "mcf"],
+  "systems": {
+    "base": {},
+    "slow": {"dram_mtps": 800, "l2_bytes": 262144}
+  },
+  "warmup": 2000,
+  "sim": 8000
+}
+EOF
+"$BIN" run --spec=spec_axes.json --cache-dir=cache_axes_t1 --quiet \
+    --threads=1 --out=report_axes_t1.json --csv=report_axes_t1.csv \
+    > axes_t1.txt
+cat axes_t1.txt
+grep -q "executed 12 simulation(s), 0 cache hit(s)" axes_t1.txt
+"$BIN" run --spec=spec_axes.json --cache-dir=cache_axes_t4 --quiet \
+    --threads=4 --out=report_axes_t4.json --csv=report_axes_t4.csv \
+    > axes_t4.txt
+cat axes_t4.txt
+grep -q "executed 12 simulation(s), 0 cache hit(s)" axes_t4.txt
+cmp report_axes_t1.json report_axes_t4.json
+cmp report_axes_t1.csv report_axes_t4.csv
+grep -q '"prefetcher":"ip_stride+bingo"' report_axes_t1.json
+grep -q '"system":"slow"' report_axes_t1.json
+"$BIN" run --spec=spec_axes.json --cache-dir=cache_axes_t4 --quiet \
+    --out=report_axes_rerun.json > axes_rerun.txt
+cat axes_rerun.txt
+grep -q "executed 0 simulation(s), 12 cache hit(s)" axes_rerun.txt
+cmp report_axes_t1.json report_axes_rerun.json
+echo "OK: pair + systems reports byte-identical across threads, rerun all hits"
 
 echo "campaign_smoke: all stages passed"

@@ -49,11 +49,6 @@ ResultCache::ResultCache(std::string dir_)
     : dir(std::move(dir_))
 {
     GAZE_ASSERT(!dir.empty(), "result cache needs a directory");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        GAZE_FATAL("cannot create cache directory '", dir,
-                   "': ", ec.message());
 }
 
 std::string
@@ -113,6 +108,7 @@ ResultCache::lookup(uint64_t hash, const std::string &key,
         || !countField(doc, "pf_late_load", &summary.pfLateLoad)
         || !countField(doc, "pf_late_rfo", &summary.pfLateRfo)
         || !countField(doc, "llc_demand_miss", &summary.llcDemandMiss)
+        || !countField(doc, "pf_dropped_hit", &summary.pfDroppedHit)
         || !countField(doc, "events_dispatched",
                        &summary.eventsDispatched)
         || !countField(doc, "cycles_executed", &summary.cyclesExecuted)
@@ -178,6 +174,7 @@ ResultCache::store(uint64_t hash, const CellRecord &rec) const
     j.field("pf_late_load", rec.summary.pfLateLoad);
     j.field("pf_late_rfo", rec.summary.pfLateRfo);
     j.field("llc_demand_miss", rec.summary.llcDemandMiss);
+    j.field("pf_dropped_hit", rec.summary.pfDroppedHit);
     j.field("events_dispatched", rec.summary.eventsDispatched);
     j.field("cycles_executed", rec.summary.cyclesExecuted);
     j.field("cycles_skipped", rec.summary.cyclesSkipped);
@@ -216,8 +213,17 @@ ResultCache::store(uint64_t hash, const CellRecord &rec) const
     {
         std::ofstream out_file(tmp_path,
                                std::ios::binary | std::ios::trunc);
-        if (!out_file)
-            GAZE_FATAL("cannot create cache file '", tmp_path, "'");
+        if (!out_file) {
+            // First write into a directory that does not exist yet.
+            // Concurrent writers may race to create it; whoever loses
+            // finds it there, so only the retry's outcome matters.
+            std::error_code mk;
+            std::filesystem::create_directories(dir, mk);
+            out_file.open(tmp_path, std::ios::binary | std::ios::trunc);
+            if (!out_file)
+                GAZE_FATAL("cannot create cache file '", tmp_path, "'",
+                           mk ? ": " + mk.message() : std::string());
+        }
         out_file.write(text.data(),
                        static_cast<std::streamsize>(text.size()));
         out_file.close();

@@ -36,7 +36,11 @@ struct CellRecord
 class ResultCache
 {
   public:
-    /** Creates @p dir (and parents) if needed; fatal if impossible. */
+    /**
+     * A cache in @p dir. Touches nothing on disk: a lookup in a
+     * directory that does not exist is a plain miss, and the first
+     * store() creates it (read-only commands never do).
+     */
     explicit ResultCache(std::string dir);
 
     /** The cell file for @p hash: "<dir>/<16 hex>.json". */
@@ -52,7 +56,11 @@ class ResultCache
     bool lookup(uint64_t hash, const std::string &key, CellRecord *out,
                 std::string *why = nullptr) const;
 
-    /** Atomically persist @p rec under @p hash (write-then-rename). */
+    /**
+     * Atomically persist @p rec under @p hash (write-then-rename),
+     * creating the directory (and parents) when the first write
+     * fails; fatal if that is impossible.
+     */
     void store(uint64_t hash, const CellRecord &rec) const;
 
     const std::string &directory() const { return dir; }

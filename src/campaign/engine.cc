@@ -18,18 +18,25 @@ namespace gaze
 std::vector<CampaignJob>
 expandCampaignJobs(const Campaign &campaign)
 {
+    // Without "systems" every cell is on the one default system, which
+    // the labels leave unnamed.
+    const bool named = !campaign.spec.systems.empty();
+    auto suffix = [named](const std::string &system) {
+        return named ? ", " + system + ")" : std::string(")");
+    };
     std::set<uint64_t> queued;
     std::vector<CampaignJob> jobs;
     jobs.reserve(campaign.baselines.size() + campaign.cells.size());
     for (const auto &b : campaign.baselines) {
         CampaignJob job;
         job.label = "baseline x " + b.workload.name + " ("
-                    + std::to_string(b.cores) + "c)";
+                    + std::to_string(b.cores) + "c" + suffix(b.system);
         job.key = b.key;
         job.hash = b.hash;
         job.cores = b.cores;
         job.isBaseline = true;
         job.workload = b.workload;
+        job.run = b.run;
         queued.insert(b.hash);
         jobs.push_back(std::move(job));
     }
@@ -39,25 +46,26 @@ expandCampaignJobs(const Campaign &campaign)
         CampaignJob job;
         job.label = cell.pf.label() + " x " + cell.workload.name + " ("
                     + std::to_string(cell.cores) + "c, " + cell.level
-                    + ")";
+                    + suffix(cell.system);
         job.key = cell.key;
         job.hash = cell.hash;
         job.cores = cell.cores;
         job.workload = cell.workload;
         job.pf = cell.pf;
+        job.run = cell.run;
         jobs.push_back(std::move(job));
     }
     return jobs;
 }
 
 CellRecord
-executeCampaignJob(const RunConfig &run, const CampaignJob &job,
+executeCampaignJob(const CampaignJob &job,
                    const std::shared_ptr<BaselineCache> &baselines,
                    TraceStore *traces)
 {
     obs::HostSpan cellSpan(obs::globalTrace(), "cell " + job.label);
     WallTimer cellTimer;
-    Runner runner(run, baselines, traces);
+    Runner runner(job.run, baselines, traces);
     std::vector<WorkloadDef> mix(job.cores, job.workload);
     RunResult r = runner.runMix(mix, job.pf);
 
@@ -131,8 +139,7 @@ runCampaign(const Campaign &campaign, ResultCache &cache,
         for (size_t i : interleavedJobOrder(planned, stats.threadsUsed)) {
             const CampaignJob *job = toRun[i];
             pool.submit([&, job] {
-                CellRecord rec = executeCampaignJob(campaign.spec.run, *job,
-                                                    nullptr, &traces);
+                CellRecord rec = executeCampaignJob(*job, nullptr, &traces);
                 traces.release(job->workload);
                 cache.store(job->hash, rec);
                 executed.fetch_add(1, std::memory_order_relaxed);

@@ -39,13 +39,16 @@ class TraceStore;
 /** One executable unit of a campaign: a baseline or a prefetcher cell. */
 struct CampaignJob
 {
-    std::string label; ///< progress text, e.g. "gaze x mcf (1c, l1)"
+    /** Progress text, e.g. "gaze x mcf (1c, l1)"; a spec with
+        "systems" appends the system: "gaze x mcf (1c, l1, dram800)". */
+    std::string label;
     std::string key;   ///< canonical cell text (cache identity)
     uint64_t hash = 0; ///< cellHash(key) — the cache address
     uint32_t cores = 1;
     bool isBaseline = false;
     WorkloadDef workload;
     PfSpec pf;
+    RunConfig run; ///< the cell's system and phases
 };
 
 /**
@@ -68,8 +71,7 @@ std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
  * @p traces store that planned this job to read its trace from the
  * store (the caller releases the job's workload afterwards).
  */
-CellRecord executeCampaignJob(const RunConfig &run,
-                              const CampaignJob &job,
+CellRecord executeCampaignJob(const CampaignJob &job,
                               const std::shared_ptr<BaselineCache>
                                   &baselines = nullptr,
                               TraceStore *traces = nullptr);

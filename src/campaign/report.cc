@@ -7,9 +7,11 @@
 #include <tuple>
 
 #include "common/log.hh"
+#include "core/gaze.hh"
 #include "harness/cell_key.hh"
 #include "harness/export.hh"
 #include "harness/table.hh"
+#include "prefetchers/registry.hh"
 
 namespace gaze
 {
@@ -40,8 +42,8 @@ jsonRounded(double v)
 }
 
 /** Identity of one suite row for --compare matching. */
-using RowKey = std::tuple<std::string, std::string, uint32_t,
-                          std::string>; // pf, level, cores, suite
+using RowKey = std::tuple<std::string, std::string, std::string, uint32_t,
+                          std::string>; // system, pf, level, cores, suite
 
 /**
  * Pull the per-suite speedups out of a previous report document.
@@ -63,6 +65,7 @@ previousSuiteSpeedups(const JsonValue &previous)
     for (const auto &row : suites->items()) {
         if (!row.isObject())
             continue;
+        const JsonValue *system = row.find("system");
         const JsonValue *pf = row.find("prefetcher");
         const JsonValue *level = row.find("level");
         const JsonValue *cores = row.find("cores");
@@ -71,10 +74,13 @@ previousSuiteSpeedups(const JsonValue &previous)
         if (!pf || !pf->isString() || !suite || !suite->isString()
             || !speedup || !speedup->isNumber())
             continue;
-        // Older gaze_sim documents carry no level/cores per row; let
-        // them match single-level single-core campaigns. A cores
+        // Older gaze_sim documents carry no level/cores per row, and
+        // older reports no system; let them match single-level
+        // single-core default-system campaigns. A cores
         // value outside [0, 2^32) is not something we ever wrote —
         // skip the row rather than cast out of range (UB).
+        std::string system_s =
+            system && system->isString() ? system->asString() : "default";
         std::string level_s =
             level && level->isString() ? level->asString() : "l1";
         uint32_t cores_n = 1;
@@ -86,8 +92,8 @@ previousSuiteSpeedups(const JsonValue &previous)
                 continue;
             cores_n = static_cast<uint32_t>(n);
         }
-        out[{pf->asString(), level_s, cores_n, suite->asString()}] =
-            speedup->asNumber();
+        out[{system_s, pf->asString(), level_s, cores_n,
+             suite->asString()}] = speedup->asNumber();
     }
     return out;
 }
@@ -144,36 +150,28 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
             == suiteOrder.end())
             suiteOrder.push_back(w.suite);
 
-    // Cells are laid out level -> cores -> prefetcher -> workload.
+    // Cells are laid out system -> level -> cores -> prefetcher ->
+    // workload: each block of nw cells is one (system, level, cores,
+    // pf) group.
     const size_t nw = campaign.workloads.size();
-    const size_t np = campaign.spec.prefetchers.size();
     CampaignReport report;
-    size_t group = 0; // index of the (level, cores, pf) block
-    for (const auto &level : campaign.spec.levels) {
-        (void)level;
-        for (uint32_t cores : campaign.spec.coreCounts) {
-            (void)cores;
-            for (size_t pi = 0; pi < np; ++pi) {
-                size_t base_idx = group * nw;
-                for (const auto &suite : suiteOrder) {
-                    CampaignSuiteRow row;
-                    const CampaignCell &first =
-                        campaign.cells[base_idx];
-                    row.prefetcher = first.prefetcher;
-                    row.level = first.level;
-                    row.cores = first.cores;
-                    row.suite = suite;
-                    std::vector<const PrefetchMetrics *> members;
-                    for (size_t wi = 0; wi < nw; ++wi)
-                        if (campaign.workloads[wi].suite == suite)
-                            members.push_back(&metrics[base_idx + wi]);
-                    row.workloads =
-                        static_cast<uint32_t>(members.size());
-                    row.summary = summarizeSuite(members);
-                    report.suites.push_back(std::move(row));
-                }
-                ++group;
-            }
+    for (size_t base_idx = 0; base_idx < campaign.cells.size();
+         base_idx += nw) {
+        const CampaignCell &first = campaign.cells[base_idx];
+        for (const auto &suite : suiteOrder) {
+            CampaignSuiteRow row;
+            row.system = first.system;
+            row.prefetcher = first.prefetcher;
+            row.level = first.level;
+            row.cores = first.cores;
+            row.suite = suite;
+            std::vector<const PrefetchMetrics *> members;
+            for (size_t wi = 0; wi < nw; ++wi)
+                if (campaign.workloads[wi].suite == suite)
+                    members.push_back(&metrics[base_idx + wi]);
+            row.workloads = static_cast<uint32_t>(members.size());
+            row.summary = summarizeSuite(members);
+            report.suites.push_back(std::move(row));
         }
     }
 
@@ -203,7 +201,7 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
 
     j.key("prefetchers").beginArray();
     for (const auto &p : campaign.spec.prefetchers)
-        j.value(p);
+        j.value(p.label());
     j.endArray();
 
     j.key("workloads").beginArray();
@@ -223,6 +221,7 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
         const CellRecord &base =
             baselineRecords.at(cell.baselineHash);
         j.beginObject();
+        j.field("system", cell.system);
         j.field("prefetcher", cell.prefetcher);
         j.field("level", cell.level);
         j.field("cores", uint64_t(cell.cores));
@@ -242,6 +241,7 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
         j.field("pf_late_rfo", m.pfLateRfo);
         j.field("llc_miss_base", m.llcMissBase);
         j.field("llc_miss_pf", m.llcMissPf);
+        j.field("pf_dropped_hit", cellRecords[i].summary.pfDroppedHit);
         // Per-scheme attribution (obs lifecycle tracking; empty on
         // GAZE_OBS=OFF builds and for records predating schema v4).
         j.key("schemes").beginArray();
@@ -270,6 +270,7 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
     j.key("suites").beginArray();
     for (const auto &row : report.suites) {
         j.beginObject();
+        j.field("system", row.system);
         j.field("prefetcher", row.prefetcher);
         j.field("level", row.level);
         j.field("cores", uint64_t(row.cores));
@@ -290,13 +291,14 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
         j.key("compare").beginObject();
         j.key("suites").beginArray();
         for (const auto &row : report.suites) {
-            auto it = before.find({row.prefetcher, row.level,
+            auto it = before.find({row.system, row.prefetcher, row.level,
                                    row.cores, row.suite});
             if (it == before.end()) {
                 ++unmatched;
                 continue;
             }
             j.beginObject();
+            j.field("system", row.system);
             j.field("prefetcher", row.prefetcher);
             j.field("level", row.level);
             j.field("cores", uint64_t(row.cores));
@@ -317,10 +319,12 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
 
     // ---- per-suite CSV ----------------------------------------------
     CsvExport csv(campaign.spec.name);
-    csv.header({"prefetcher", "level", "cores", "suite", "workloads",
-                "speedup", "accuracy", "coverage", "late_fraction"});
+    csv.header({"system", "prefetcher", "level", "cores", "suite",
+                "workloads", "speedup", "accuracy", "coverage",
+                "late_fraction"});
     for (const auto &row : report.suites) {
-        csv.row({row.prefetcher, row.level, std::to_string(row.cores),
+        csv.row({row.system, row.prefetcher, row.level,
+                 std::to_string(row.cores),
                  row.suite, std::to_string(row.workloads),
                  csvNum(row.summary.speedup),
                  csvNum(row.summary.accuracy),
@@ -334,10 +338,11 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
 std::string
 reportTable(const std::vector<CampaignSuiteRow> &rows)
 {
-    TextTable t({"prefetcher", "level", "cores", "suite", "workloads",
-                 "speedup", "accuracy", "coverage", "late"});
+    TextTable t({"system", "prefetcher", "level", "cores", "suite",
+                 "workloads", "speedup", "accuracy", "coverage", "late"});
     for (const auto &row : rows) {
-        t.addRow({row.prefetcher, row.level, std::to_string(row.cores),
+        t.addRow({row.system, row.prefetcher, row.level,
+                  std::to_string(row.cores),
                   row.suite, std::to_string(row.workloads),
                   TextTable::fmt(row.summary.speedup),
                   TextTable::pct(row.summary.accuracy),
@@ -345,6 +350,86 @@ reportTable(const std::vector<CampaignSuiteRow> &rows)
                   TextTable::pct(row.summary.lateFraction)});
     }
     return t.toString();
+}
+
+std::string
+describeCampaignStorage(const CampaignSpec &spec, bool json)
+{
+    // One canonical spec: its live storage and, for Gaze, Table I.
+    struct Part
+    {
+        std::string spec;
+        uint64_t bits = 0;
+        std::vector<GazeStorageRow> rows;
+    };
+    auto partOf = [](const std::string &canon) {
+        Part part;
+        part.spec = canon;
+        std::unique_ptr<Prefetcher> pf = resolvePrefetcherSpec(canon).build();
+        if (pf)
+            part.bits = pf->storageBits();
+        if (const auto *g = dynamic_cast<const GazePrefetcher *>(pf.get()))
+            part.rows = gazeStorageBreakdown(g->config());
+        return part;
+    };
+    auto kib = [](uint64_t bits) { return double(bits) / 8.0 / 1024.0; };
+
+    JsonWriter j;
+    j.beginObject();
+    j.field("campaign", spec.name);
+    j.key("prefetchers").beginArray();
+    TextTable entries({"prefetcher", "KiB"});
+    std::vector<Part> gazeParts;
+    for (const CampaignPrefetcher &entry : spec.prefetchers) {
+        std::vector<Part> parts = {partOf(entry.spec)};
+        if (entry.isPair())
+            parts.push_back(partOf(entry.l2));
+        uint64_t bits = 0;
+        for (const Part &part : parts) {
+            bits += part.bits;
+            bool seen = false;
+            for (const Part &g : gazeParts)
+                seen = seen || g.spec == part.spec;
+            if (!part.rows.empty() && !seen)
+                gazeParts.push_back(part);
+        }
+        entries.addRow({entry.label(), TextTable::fmt(kib(bits), 2)});
+        j.beginObject();
+        j.field("label", entry.label());
+        j.key("specs").beginArray();
+        for (const Part &part : parts)
+            j.value(part.spec);
+        j.endArray();
+        j.field("storage_bits", bits);
+        j.field("storage_kib", kib(bits));
+        j.endObject();
+    }
+    j.endArray();
+
+    std::string text = spec.name + ": prefetcher storage (live "
+                       "storageBits())\n" + entries.toString();
+    j.key("gaze_table_i").beginArray();
+    for (const Part &part : gazeParts) {
+        TextTable rows({"structure", "bytes", "fields"});
+        j.beginObject();
+        j.field("spec", part.spec);
+        j.key("structures").beginArray();
+        for (const GazeStorageRow &row : part.rows) {
+            rows.addRow({row.structure, TextTable::fmt(row.bits / 8.0, 1),
+                         row.fields});
+            j.beginObject();
+            j.field("structure", row.structure);
+            j.field("fields", row.fields);
+            j.field("bits", row.bits);
+            j.endObject();
+        }
+        j.endArray();
+        j.endObject();
+        text += "\n" + part.spec + ": Table I breakdown\n" + rows.toString();
+    }
+    j.endArray();
+    j.endObject();
+    return json ? j.str() + "\n" : text;
 }
 
 CampaignCacheStatus

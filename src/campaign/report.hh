@@ -26,9 +26,10 @@
 namespace gaze
 {
 
-/** One (level, cores, prefetcher, suite) aggregate row. */
+/** One (system, level, cores, prefetcher, suite) aggregate row. */
 struct CampaignSuiteRow
 {
+    std::string system;
     std::string prefetcher;
     std::string level;
     uint32_t cores = 1;
@@ -57,6 +58,17 @@ CampaignReport buildReport(const Campaign &campaign,
 
 /** Render the suite rows as an aligned text table for stdout. */
 std::string reportTable(const std::vector<CampaignSuiteRow> &rows);
+
+/**
+ * `gaze_campaign describe --spec`: each prefetcher-axis entry of
+ * @p spec with its canonical spec and its storage from a live
+ * storageBits() call (a pair sums its two halves), plus Gaze's
+ * Table I breakdown for every distinct Gaze spec among them. A text
+ * table, or one JSON document when @p json. Builds every scheme
+ * (milliseconds for the large-PHT ones), which is why buildReport
+ * never does this.
+ */
+std::string describeCampaignStorage(const CampaignSpec &spec, bool json);
 
 /** Cache coverage of a campaign without simulating anything. */
 struct CampaignCacheStatus

@@ -330,16 +330,47 @@ GazePrefetcher::busy() const
 uint64_t
 GazePrefetcher::storageBits() const
 {
-    // Table I, field by field.
-    uint64_t ft_bits = uint64_t(cfg.ftSets) * cfg.ftWays
-                       * (36 + 3 + 12 + 6);
-    uint64_t at_bits = uint64_t(cfg.atSets) * cfg.atWays
-                       * (36 + 3 + 12 + 1 + 2 * 6 + 2 * 6 + blocks);
-    uint64_t pht_bits = phtTable.storageBits();
-    uint64_t dpct_bits = detector.storageBits();
-    uint64_t pb_bits = pb ? pb->storageBits()
-                          : uint64_t(cfg.pbEntries) * (36 + 3 + 2 * blocks);
-    return ft_bits + at_bits + pht_bits + dpct_bits + pb_bits;
+    uint64_t bits = 0;
+    for (const auto &row : gazeStorageBreakdown(cfg))
+        bits += row.bits;
+    return bits;
+}
+
+std::vector<GazeStorageRow>
+gazeStorageBreakdown(const GazeConfig &cfg)
+{
+    const uint64_t blocks = cfg.blocksPerRegion();
+    const std::string vec = std::to_string(blocks) + "b";
+    auto geometry = [](uint32_t sets, uint32_t ways) {
+        return std::to_string(ways) + "-way, "
+               + std::to_string(uint64_t(sets) * ways) + " entries: ";
+    };
+    return {
+        {"FT",
+         geometry(cfg.ftSets, cfg.ftWays)
+             + "region tag 36b + LRU 3b + hashed PC 12b + trigger 6b",
+         uint64_t(cfg.ftSets) * cfg.ftWays * (36 + 3 + 12 + 6)},
+        {"AT",
+         geometry(cfg.atSets, cfg.atWays)
+             + "region tag 36b + LRU 3b + hashed PC 12b + stride flag "
+               "1b + trigger/second 2x6b + last/penult 2x6b + bit vector "
+             + vec,
+         uint64_t(cfg.atSets) * cfg.atWays
+             * (36 + 3 + 12 + 1 + 2 * 6 + 2 * 6 + blocks)},
+        {"PHT",
+         geometry(cfg.phtSets, cfg.phtWays) + "tag 6b + LRU 2b + bit vector "
+             + vec,
+         uint64_t(cfg.phtSets) * cfg.phtWays * (6 + 2 + blocks)},
+        {"DPCT",
+         "fully associative, " + std::to_string(cfg.dpctEntries)
+             + " entries: hashed PC 12b + LRU 3b, plus the 3b DC",
+         uint64_t(cfg.dpctEntries) * (12 + 3) + 3},
+        {"PB",
+         geometry(cfg.pbEntries / cfg.pbWays, cfg.pbWays)
+             + "region tag 36b + LRU 3b + pattern " + std::to_string(blocks)
+             + "x2b",
+         uint64_t(cfg.pbEntries) * (36 + 3 + 2 * blocks)},
+    };
 }
 
 size_t

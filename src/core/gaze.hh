@@ -24,6 +24,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bitset.hh"
 #include "common/lru_table.hh"
@@ -51,6 +52,21 @@ struct GazeCounters
     uint64_t learnedPht = 0;
     uint64_t evictionDeactivations = 0;
 };
+
+/** One Table I row: a Gaze structure, its field list, its bits. */
+struct GazeStorageRow
+{
+    std::string structure;
+    std::string fields;
+    uint64_t bits = 0;
+};
+
+/**
+ * Table I, field by field: FT, AT, PHT, DPCT (+ DC) and PB. The one
+ * owner of Gaze's field widths; GazePrefetcher::storageBits() is the
+ * sum of these rows.
+ */
+std::vector<GazeStorageRow> gazeStorageBreakdown(const GazeConfig &cfg);
 
 /** Gaze, attachable at L1D (virtual-address regions) or L2C. */
 class GazePrefetcher : public Prefetcher

@@ -61,16 +61,8 @@ PatternHistoryTable::occupancy() const
     return table.occupancy();
 }
 
-uint64_t
-PatternHistoryTable::storageBits() const
-{
-    // Table I: per entry tag(6b) + LRU(2b) + bit vector.
-    uint64_t per_entry = 6 + 2 + cfg.blocksPerRegion();
-    return uint64_t(cfg.phtSets) * cfg.phtWays * per_entry;
-}
-
 StreamingDetector::StreamingDetector(const GazeConfig &config)
-    : cfg(config), dpct(1, config.dpctEntries)
+    : dpct(1, config.dpctEntries)
 {
 }
 
@@ -91,12 +83,6 @@ bool
 StreamingDetector::isDensePc(uint64_t hashed_pc) const
 {
     return dpct.contains(0, hashed_pc);
-}
-
-uint64_t
-StreamingDetector::storageBits() const
-{
-    return uint64_t(cfg.dpctEntries) * (12 + 3) + 3;
 }
 
 } // namespace gaze

@@ -72,9 +72,6 @@ class PatternHistoryTable
     /** Entries currently valid (tests). */
     size_t occupancy() const;
 
-    /** Storage bits per Table I: tag(6) + LRU(2) + bit vector. */
-    uint64_t storageBits() const;
-
   private:
     uint64_t indexOf(const InitialAccesses &event) const;
     uint64_t tagOf(const InitialAccesses &event) const;
@@ -110,15 +107,11 @@ class StreamingDetector
 
     uint32_t counterValue() const { return dc.value(); }
 
-    /** Storage bits per Table I: 8 x (12b PC + 3b LRU) + 3b DC. */
-    uint64_t storageBits() const;
-
   private:
     struct Empty
     {
     };
 
-    GazeConfig cfg;
     LruTable<Empty> dpct; ///< fully associative: 1 set, N ways
     DenseCounter dc;
 };

@@ -4,11 +4,13 @@
  * addressed result cache. "run" simulates whatever the cache is
  * missing (optionally one shard of it) and, when unsharded,
  * aggregates the report; "report" aggregates from the cache alone;
- * "status" shows cache coverage. Flag parsing lives in driver/cli,
- * everything else in src/campaign.
+ * "status" shows cache coverage; "describe" prints the registry or a
+ * spec's prefetcher storage. Only "run" writes to the cache directory.
+ * Flag parsing lives in driver/cli, everything else in src/campaign.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,6 +110,9 @@ int
 cmdReport(const GazeCampaignOptions &opt)
 {
     Campaign campaign = loadCampaign(opt.specPath);
+    if (!std::filesystem::is_directory(opt.cacheDir))
+        GAZE_FATAL("cache directory '", opt.cacheDir,
+                   "' does not exist; run the campaign first");
     ResultCache cache(opt.cacheDir);
     emitReport(campaign, cache, opt);
     return 0;
@@ -117,6 +122,11 @@ int
 cmdStatus(const GazeCampaignOptions &opt)
 {
     Campaign campaign = loadCampaign(opt.specPath);
+    if (!std::filesystem::is_directory(opt.cacheDir))
+        std::fprintf(stderr,
+                     "gaze_campaign: cache directory '%s' does not "
+                     "exist; every cell is missing\n",
+                     opt.cacheDir.c_str());
     ResultCache cache(opt.cacheDir);
     CampaignCacheStatus status = campaignStatus(campaign, cache);
     if (opt.jsonOutput) {
@@ -149,10 +159,16 @@ main(int argc, char **argv)
         return cmdReport(opt);
       case GazeCampaignOptions::Command::Status:
         return cmdStatus(opt);
-      case GazeCampaignOptions::Command::Describe:
-        std::fputs(renderPrefetcherList(opt.jsonOutput).c_str(),
-                   stdout);
+      case GazeCampaignOptions::Command::Describe: {
+        std::string text =
+            opt.specPath.empty()
+                ? renderPrefetcherList(opt.jsonOutput)
+                : describeCampaignStorage(
+                      parseCampaignSpec(parseJsonFile(opt.specPath)),
+                      opt.jsonOutput);
+        std::fputs(text.c_str(), stdout);
         return 0;
+      }
       case GazeCampaignOptions::Command::Help:
         std::fputs(gazeCampaignUsage(), stdout);
         return 0;

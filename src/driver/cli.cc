@@ -108,7 +108,9 @@ const char *gazeCampaignUsageText =
     "            cells are missing either way)\n"
     "  describe  print every registered prefetcher scheme with its\n"
     "            typed options, defaults and docs (add --json for a\n"
-    "            machine-readable document); needs no --spec\n"
+    "            machine-readable document); with --spec, print each\n"
+    "            prefetcher entry's canonical spec and storage (KiB,\n"
+    "            live storageBits()) plus Gaze's Table I breakdown\n"
     "\n"
     "options:\n"
     "  --spec=FILE        campaign spec (JSON; see README)\n"
@@ -415,13 +417,20 @@ parseGazeCampaignArgs(const std::vector<std::string> &args)
 
     if (opt.command == GazeCampaignOptions::Command::Describe) {
         for (size_t i = 1; i < args.size(); ++i) {
-            if (args[i] == "--json")
+            std::string key, val;
+            splitFlag(args[i], &key, &val);
+            if (args[i] == "--json") {
                 opt.jsonOutput = true;
-            else if (args[i] == "--help" || args[i] == "-h")
+            } else if (args[i] == "--help" || args[i] == "-h") {
                 opt.command = GazeCampaignOptions::Command::Help;
-            else
+            } else if (key == "--spec") {
+                if (val.empty())
+                    GAZE_FATAL("--spec needs a file path");
+                opt.specPath = val;
+            } else {
                 GAZE_FATAL("unknown describe option '", args[i],
                            "' (see gaze_campaign --help)");
+            }
         }
         return opt;
     }

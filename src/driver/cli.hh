@@ -91,12 +91,12 @@ struct GazeCampaignOptions
         Run,      ///< execute missing cells, then aggregate (unsharded)
         Report,   ///< aggregate from cache only
         Status,   ///< count cached vs missing cells
-        Describe, ///< render the prefetcher registry (no --spec)
+        Describe, ///< the registry, or a spec's prefetcher storage
         Help
     };
 
     Command command = Command::Help;
-    std::string specPath;                  ///< --spec (required)
+    std::string specPath;                  ///< --spec (optional for describe)
     std::string cacheDir = "campaign_cache"; ///< --cache-dir
     uint32_t shardIndex = 0;               ///< --shard=i/n
     uint32_t shardCount = 1;
@@ -112,7 +112,7 @@ struct GazeCampaignOptions
 /**
  * Parse gaze_campaign arguments: "run|report|status --spec=FILE
  * [--cache-dir=] [--shard=i/n] [--threads=] [--out=] [--csv=]
- * [--compare=] [--quiet]" or "describe [--json]". Validates flag
+ * [--compare=] [--quiet]" or "describe [--spec=FILE] [--json]". Validates flag
  * syntax only — the spec file itself is loaded (and validated) by the
  * campaign library. Fatal on unknown commands/flags, a missing --spec
  * for the spec-driven commands, or a malformed --shard.

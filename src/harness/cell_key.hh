@@ -46,8 +46,11 @@ namespace gaze
  * deliberately NOT part of the canonical text — obs never perturbs
  * simulated state, so a cell computed with tracing on is the same
  * cell computed with it off.
+ *
+ * v5: cell records gained the L1D redundant-prefetch count
+ * (pf_dropped_hit, Fig. 11); v4 records lack it and must recompute.
  */
-constexpr uint32_t kCellSchemaVersion = 4;
+constexpr uint32_t kCellSchemaVersion = 5;
 
 /**
  * The canonical, human-auditable identity text of one cell. Covers

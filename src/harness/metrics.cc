@@ -112,6 +112,7 @@ summarize(const RunResult &r)
     s.pfLateLoad = r.l1d.loadMissLate + r.l2.loadMissLate;
     s.pfLateRfo = r.l1d.rfoMissLate + r.l2.rfoMissLate;
     s.llcDemandMiss = r.llc.demandMiss();
+    s.pfDroppedHit = r.l1d.pfDroppedHit;
     s.schemes = r.schemes;
     s.eventsDispatched = r.engine.eventsDispatched;
     s.cyclesExecuted = r.engine.cyclesExecuted;

@@ -150,6 +150,8 @@ struct RunSummary
     uint64_t pfLateLoad = 0;
     uint64_t pfLateRfo = 0;
     uint64_t llcDemandMiss = 0;
+    /** L1D prefetches dropped on a tag hit: redundant (Fig. 11). */
+    uint64_t pfDroppedHit = 0;
 
     /** Per-scheme lifecycle attribution (cell-record schema v4). */
     std::vector<SchemeCount> schemes;

@@ -102,11 +102,4 @@ PrefetchBuffer::pendingCount() const
     return n;
 }
 
-uint64_t
-PrefetchBuffer::storageBits() const
-{
-    // Region tag (36b) + LRU (3b) + 2b per offset (Table I).
-    return uint64_t(cfg.entries) * (36 + 3 + 2 * cfg.blocksPerRegion);
-}
-
 } // namespace gaze

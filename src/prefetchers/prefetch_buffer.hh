@@ -138,9 +138,6 @@ class PrefetchBuffer
      */
     bool drainPending() const { return !issueQueue.empty(); }
 
-    /** Paper Table I storage: tag+LRU+2b/offset per entry. */
-    uint64_t storageBits() const;
-
     const PrefetchBufferParams &params() const { return cfg; }
 
   private:

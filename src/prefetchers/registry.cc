@@ -440,7 +440,9 @@ resolvePrefetcherSpec(const std::string &spec_text)
                            os->name,
                            "' is a flag and takes no value in spec '",
                            spec_text, "'");
-            canon.options[os->name] = "1";
+            // Move-assign a temporary: assigning the literal in place
+            // trips a GCC 12 -Wrestrict false positive at -O3.
+            canon.options[os->name] = std::string("1");
             break;
           }
           case OptionType::Uint: {

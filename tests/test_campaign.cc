@@ -3,8 +3,10 @@
  * Campaign subsystem tests: the JSON reader's happy/error paths, spec
  * parsing + deterministic expansion, canonical cell keys, the
  * content-addressed cache (round trip, collision guard, malformed
- * files), RunSummary equivalence with full-RunResult metric math, and
- * an in-process end-to-end: a tiny campaign run twice must serve the
+ * files, a cache that never creates its directory on a read),
+ * RunSummary equivalence with full-RunResult metric math, L1+L2 pair
+ * and system-override cells against the Runner they stand for, and an
+ * in-process end-to-end: a tiny campaign run twice must serve the
  * second run entirely from cache with a byte-identical report, and
  * two complementary shards must aggregate to the unsharded result.
  */
@@ -24,6 +26,7 @@
 #include "campaign/spec.hh"
 #include "harness/cell_key.hh"
 #include "harness/metrics.hh"
+#include "harness/runner.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -119,7 +122,10 @@ TEST(CampaignSpecParse, MinimalSpecGetsDefaults)
     CampaignSpec spec = parseCampaignSpec(parseSpecText(
         R"({"name":"c1","prefetchers":["gaze"],"workloads":["mcf"]})"));
     EXPECT_EQ(spec.name, "c1");
-    EXPECT_EQ(spec.prefetchers, (std::vector<std::string>{"gaze"}));
+    ASSERT_EQ(spec.prefetchers.size(), 1u);
+    EXPECT_EQ(spec.prefetchers[0].label(), "gaze");
+    EXPECT_FALSE(spec.prefetchers[0].isPair());
+    EXPECT_TRUE(spec.systems.empty());
     EXPECT_EQ(spec.levels, (std::vector<std::string>{"l1"}));
     EXPECT_EQ(spec.coreCounts, (std::vector<uint32_t>{1}));
     EXPECT_EQ(spec.run.warmupInstr, 0u);
@@ -191,6 +197,78 @@ TEST(CampaignSpecParse, FatalSpecErrors)
                  "no usable trace");
 }
 
+TEST(CampaignSpecParse, PairsAndSystemsAreDiagnosed)
+{
+    auto dies = [](const std::string &text, const char *why) {
+        EXPECT_EXIT(parseCampaignSpec(parseSpecText(text)),
+                    testing::ExitedWithCode(1), why)
+            << text;
+    };
+    dies(R"({"name":"x","prefetchers":[["gaze","bingo","pmp"]]})",
+         "two-string array");
+    dies(R"({"name":"x","prefetchers":[["gaze"]]})", "two-string array");
+    dies(R"({"name":"x","prefetchers":[["gaze",3]]})", "two-string array");
+    dies(R"({"name":"x","prefetchers":[["gaze","none"]]})",
+         "\"none\" half");
+    dies(R"({"name":"x","prefetchers":[["gaze","bingo"]],)"
+         R"("levels":["l2"]})",
+         "pair \"gaze\\+bingo\" attaches at L1 and L2 itself");
+    dies(R"({"name":"x","prefetchers":[{"l1":"gaze"}]})",
+         "only spec strings");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"s":{"l3_bytes":1024}}})",
+         "system \"s\": unknown key \"l3_bytes\"");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"s":{"l2_bytes":3000}}})",
+         "\"l2_bytes\" = 3000 bytes .* power of two");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"s":{"llc_bytes_per_core":3145728}}})",
+         "set count must be a power of two");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"s":{"dram_mtps":"fast"}}})",
+         "MT/s");
+    dies(R"({"name":"x","prefetchers":["gaze"],"systems":{}})",
+         "non-empty object");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"s":{},"s":{}}})",
+         "duplicate system \"s\"");
+    dies(R"({"name":"x","prefetchers":["gaze"],)"
+         R"("systems":{"a b":{}}})",
+         "system name");
+
+    // A non-finite value never comes out of the JSON parser, but the
+    // spec check does not rely on that.
+    JsonValue nan_system = JsonValue::makeObject(
+        {{"name", JsonValue::makeString("x")},
+         {"prefetchers",
+          JsonValue::makeArray({JsonValue::makeString("gaze")})},
+         {"systems",
+          JsonValue::makeObject(
+              {{"s", JsonValue::makeObject(
+                         {{"dram_mtps", JsonValue::makeNumber(NAN)}})}})}});
+    EXPECT_EXIT(parseCampaignSpec(nan_system), testing::ExitedWithCode(1),
+                "MT/s");
+}
+
+TEST(CampaignSpecParse, PairHalvesAreCanonicalAndNeverSplitOnPlus)
+{
+    CampaignSpec spec = parseCampaignSpec(parseSpecText(
+        R"({"name":"p","prefetchers":["sms:scheme=pc+addr",)"
+        R"(["berti","bingo"],["sms:scheme=pc+addr","bingo"],)"
+        R"(["vberti","bingo"]],"workloads":["mcf"]})"));
+    ASSERT_EQ(spec.prefetchers.size(), 3u); // the vberti pair repeats
+    EXPECT_FALSE(spec.prefetchers[0].isPair());
+    EXPECT_EQ(spec.prefetchers[0].spec, "sms:scheme=pc+addr");
+    EXPECT_EQ(spec.prefetchers[1].spec, "vberti");
+    EXPECT_EQ(spec.prefetchers[1].l2, "bingo");
+    EXPECT_EQ(spec.prefetchers[1].label(), "vberti+bingo");
+    EXPECT_EQ(spec.prefetchers[2].spec, "sms:scheme=pc+addr");
+    EXPECT_EQ(spec.prefetchers[2].l2, "bingo");
+    PfSpec pf = spec.prefetchers[2].at("l1");
+    EXPECT_EQ(pf.l1, "sms:scheme=pc+addr");
+    EXPECT_EQ(pf.l2, "bingo");
+}
+
 TEST(CampaignExpand, CellOrderAndBaselineDedup)
 {
     CampaignSpec spec = parseCampaignSpec(parseSpecText(
@@ -216,6 +294,14 @@ TEST(CampaignExpand, CellOrderAndBaselineDedup)
     // cells, but share a baseline.
     EXPECT_NE(c.cells[0].hash, c.cells[4].hash);
     EXPECT_EQ(c.cells[0].baselineHash, c.cells[4].baselineHash);
+
+    // Without "systems" every cell is on the one default system and
+    // job labels do not name it.
+    for (const auto &cell : c.cells)
+        EXPECT_EQ(cell.system, "default");
+    std::vector<CampaignJob> jobs = expandCampaignJobs(c);
+    EXPECT_EQ(jobs[0].label, "baseline x leslie3d (1c)");
+    EXPECT_EQ(jobs[2].label, "ip_stride x leslie3d (1c, l1)");
 
     // Expansion is deterministic.
     Campaign again = expandCampaign(spec);
@@ -277,6 +363,7 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     rec.summary.pfUseful = 70;
     rec.summary.pfLate = 5;
     rec.summary.llcDemandMiss = 1234;
+    rec.summary.pfDroppedHit = 17;
     rec.seconds = 0.5;
     uint64_t hash = cellHash(rec.key);
 
@@ -290,6 +377,7 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     EXPECT_EQ(out.summary.pfUseful, 70u);
     EXPECT_EQ(out.summary.pfLate, 5u);
     EXPECT_EQ(out.summary.llcDemandMiss, 1234u);
+    EXPECT_EQ(out.summary.pfDroppedHit, 17u);
 
     // No temp droppings left behind by the atomic publish.
     size_t files = 0;
@@ -299,6 +387,21 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
         ++files;
     }
     EXPECT_EQ(files, 1u);
+}
+
+TEST(ResultCacheTest, OnlyAStoreCreatesTheDirectory)
+{
+    std::string dir = freshDir("campaign_cache_lazy") + "/nested";
+    ResultCache cache(dir);
+    CellRecord rec;
+    rec.key = "schema=1;lazy";
+    CellRecord out;
+    EXPECT_FALSE(cache.lookup(cellHash(rec.key), rec.key, &out));
+    EXPECT_FALSE(std::filesystem::exists(dir));
+
+    cache.store(cellHash(rec.key), rec);
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    EXPECT_TRUE(cache.lookup(cellHash(rec.key), rec.key, &out));
 }
 
 TEST(ResultCacheTest, KeyMismatchAndCorruptionReadAsMiss)
@@ -520,6 +623,128 @@ TEST(CampaignEndToEnd, CompareSectionReportsZeroDeltaAgainstSelf)
     EXPECT_DOUBLE_EQ(rows[0].find("speedup_delta")->asNumber(), 0.0);
     EXPECT_DOUBLE_EQ(
         compare->find("rows_without_previous")->asNumber(), 0.0);
+}
+
+// ---- L1+L2 pairs and system overrides -------------------------------
+
+CampaignRunOptions
+quietRun()
+{
+    CampaignRunOptions opt;
+    opt.threads = 2;
+    opt.verbose = false;
+    return opt;
+}
+
+/** The deterministic slice of a summary (no wall-clock fields). */
+void
+expectSameSummary(const RunSummary &a, const RunSummary &b)
+{
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.pfIssued, b.pfIssued);
+    EXPECT_EQ(a.pfFilled, b.pfFilled);
+    EXPECT_EQ(a.pfUseful, b.pfUseful);
+    EXPECT_EQ(a.pfLate, b.pfLate);
+    EXPECT_EQ(a.llcDemandMiss, b.llcDemandMiss);
+    EXPECT_EQ(a.pfDroppedHit, b.pfDroppedHit);
+    EXPECT_EQ(a.cyclesExecuted + a.cyclesSkipped,
+              b.cyclesExecuted + b.cyclesSkipped);
+    EXPECT_EQ(a.schemes.size(), b.schemes.size());
+}
+
+TEST(CampaignPairs, PairCellEqualsRunnerRunMix)
+{
+    Campaign campaign = expandCampaign(parseCampaignSpec(parseSpecText(
+        R"({"name":"pair","prefetchers":[["ip_stride","bingo"]],)"
+        R"("workloads":["leslie3d"],"warmup":1000,"sim":4000})")));
+    ASSERT_EQ(campaign.cells.size(), 1u);
+    EXPECT_EQ(campaign.cells[0].prefetcher, "ip_stride+bingo");
+    EXPECT_EQ(campaign.cells[0].level, "l1");
+
+    std::vector<CampaignJob> jobs = expandCampaignJobs(campaign);
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[1].label, "ip_stride+bingo x leslie3d (1c, l1)");
+    CellRecord rec = executeCampaignJob(jobs[1]);
+
+    Runner runner(campaign.spec.run);
+    std::vector<WorkloadDef> mix = {findWorkload("leslie3d")};
+    expectSameSummary(rec.summary,
+                      summarize(runner.runMix(mix, PfSpec{"ip_stride", "bingo"})));
+    EXPECT_GT(rec.summary.pfIssued, 0u);
+}
+
+TEST(CampaignSystems, SystemCellEqualsRunnerOnOverriddenConfig)
+{
+    Campaign campaign = expandCampaign(parseCampaignSpec(parseSpecText(
+        R"({"name":"sys","prefetchers":["gaze"],"workloads":["mcf"],)"
+        R"("systems":{"small":{"dram_mtps":800,"l2_bytes":131072,)"
+        R"("llc_bytes_per_core":524288}},"warmup":500,"sim":2000})")));
+    ASSERT_EQ(campaign.cells.size(), 1u);
+    EXPECT_EQ(campaign.cells[0].system, "small");
+
+    std::vector<CampaignJob> jobs = expandCampaignJobs(campaign);
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].label, "baseline x mcf (1c, small)");
+    EXPECT_EQ(jobs[1].label, "gaze x mcf (1c, l1, small)");
+
+    RunConfig cfg = campaign.spec.run;
+    cfg.system.dram.mtps = 800;
+    cfg.system.l2Bytes = 128 * 1024;
+    cfg.system.llcBytesPerCore = 512 * 1024;
+    Runner runner(cfg);
+    const WorkloadDef &mcf = findWorkload("mcf");
+    RunSummary cell = executeCampaignJob(jobs[1]).summary;
+    expectSameSummary(cell, summarize(runner.run(mcf, PfSpec{"gaze"})));
+    expectSameSummary(executeCampaignJob(jobs[0]).summary,
+                      summarize(runner.baseline(mcf)));
+
+    // ... and differs from the same cell on Table II.
+    Runner table2(campaign.spec.run);
+    EXPECT_NE(cell.ipc, summarize(table2.run(mcf, PfSpec{"gaze"})).ipc);
+}
+
+TEST(CampaignSystems, SharedDefaultSystemCellsRunOnce)
+{
+    // "base" and "same" resolve to the same config: their cells share
+    // hashes, run once, and both systems still get report rows.
+    Campaign campaign = expandCampaign(parseCampaignSpec(parseSpecText(
+        R"({"name":"dedup","prefetchers":["ip_stride"],)"
+        R"("workloads":["leslie3d","mcf"],"systems":{"base":{},)"
+        R"("same":{"dram_mtps":3200},"fast":{"dram_mtps":6400}},)"
+        R"("warmup":500,"sim":2000})")));
+    ASSERT_EQ(campaign.cells.size(), 6u);
+    EXPECT_EQ(campaign.cells[0].hash, campaign.cells[2].hash);
+    EXPECT_NE(campaign.cells[0].hash, campaign.cells[4].hash);
+    EXPECT_EQ(campaign.baselines.size(), 4u);
+    EXPECT_EQ(expandCampaignJobs(campaign).size(), 8u);
+
+    ResultCache cache(freshDir("campaign_system_dedup"));
+    CampaignRunStats stats = runCampaign(campaign, cache, quietRun());
+    EXPECT_EQ(stats.executed, 8u);
+    EXPECT_EQ(runCampaign(campaign, cache, quietRun()).cacheHits, 8u);
+
+    CampaignReport report = buildReport(campaign, cache, nullptr);
+    ASSERT_EQ(report.suites.size(), 3u); // one suite per system
+    EXPECT_EQ(report.suites[0].system, "base");
+    EXPECT_EQ(report.suites[1].system, "same");
+    EXPECT_EQ(report.suites[2].system, "fast");
+    EXPECT_EQ(report.suites[0].summary.speedup,
+              report.suites[1].summary.speedup);
+
+    // --compare matches rows by system too.
+    JsonValue previous;
+    std::string error;
+    ASSERT_TRUE(parseJson(report.json, &previous, &error)) << error;
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(buildReport(campaign, cache, &previous).json,
+                          &doc, &error))
+        << error;
+    const JsonValue *compare = doc.find("compare");
+    ASSERT_NE(compare, nullptr);
+    const auto &rows = compare->find("suites")->items();
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[2].find("system")->asString(), "fast");
+    EXPECT_DOUBLE_EQ(rows[2].find("speedup_delta")->asNumber(), 0.0);
 }
 
 } // namespace

@@ -335,12 +335,21 @@ TEST(GazeCampaignCli, DescribeNeedsNoSpec)
 
     EXPECT_EQ(parseGazeCampaignArgs({"describe", "--help"}).command,
               GazeCampaignOptions::Command::Help);
+
+    // With a spec: that spec's prefetcher storage.
+    GazeCampaignOptions storage =
+        parseGazeCampaignArgs({"describe", "--spec=s.json", "--json"});
+    EXPECT_EQ(storage.command, GazeCampaignOptions::Command::Describe);
+    EXPECT_EQ(storage.specPath, "s.json");
+    EXPECT_TRUE(storage.jsonOutput);
 }
 
 TEST(GazeCampaignCliDeath, BadFlags)
 {
-    EXPECT_DEATH(parseGazeCampaignArgs({"describe", "--spec=s.json"}),
+    EXPECT_DEATH(parseGazeCampaignArgs({"describe", "--cache-dir=c"}),
                  "unknown describe option");
+    EXPECT_DEATH(parseGazeCampaignArgs({"describe", "--spec="}),
+                 "--spec needs a file path");
     EXPECT_DEATH(parseGazeCampaignArgs({"launch"}),
                  "unknown gaze_campaign command 'launch'");
     EXPECT_DEATH(parseGazeCampaignArgs({"run"}),

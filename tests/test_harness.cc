@@ -2,15 +2,16 @@
  * @file
  * Harness tests: the §IV-A3 metric formulas on synthetic run results,
  * geometric-mean aggregation, table formatting, baseline memoization
- * in the Runner, and the Table I / Table IV storage model.
+ * in the Runner, and the Table I / Table IV storage accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/gaze.hh"
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
-#include "harness/storage_model.hh"
 #include "harness/table.hh"
+#include "prefetchers/factory.hh"
 #include "workloads/generators.hh"
 
 namespace gaze
@@ -120,38 +121,37 @@ TEST(TableDeath, RowWidthMismatch)
 
 TEST(StorageModel, TableITotalsMatchPaper)
 {
-    auto rows = gazeStorageBreakdown();
+    GazeConfig cfg;
+    auto rows = gazeStorageBreakdown(cfg);
     ASSERT_EQ(rows.size(), 5u);
-    double total_kib = 0;
+    uint64_t total_bits = 0;
     for (const auto &r : rows)
-        total_kib += r.kib();
-    EXPECT_NEAR(total_kib, 4.46, 0.05);
+        total_bits += r.bits;
+    EXPECT_NEAR(double(total_bits) / 8 / 1024, 4.46, 0.05);
+    // The live prefetcher reports exactly the sum of the rows.
+    EXPECT_EQ(GazePrefetcher(cfg).storageBits(), total_bits);
 
-    // Spot-check the paper's per-structure bytes.
+    // The paper's per-structure bytes.
     EXPECT_EQ(rows[0].structure, "FT");
     EXPECT_EQ(rows[0].bits / 8, 456u);
     EXPECT_EQ(rows[2].structure, "PHT");
+    EXPECT_EQ(rows[2].bits, 256u * 72);
     EXPECT_EQ(rows[2].bits / 8, 2304u);
+    EXPECT_EQ(rows[3].structure, "DPCT");
+    EXPECT_EQ(rows[3].bits, 8u * 15 + 3);
     EXPECT_EQ(rows[4].structure, "PB");
+    EXPECT_EQ(rows[4].bits, 32u * (36 + 3 + 128));
     EXPECT_EQ(rows[4].bits / 8, 668u);
 }
 
 TEST(StorageModel, SchemeOrderingMatchesTableIV)
 {
-    auto rows = evaluatedSchemeStorage();
-    ASSERT_GE(rows.size(), 8u);
-    double gaze_kib = 0, bingo_kib = 0, ipcp_kib = 0;
-    for (const auto &r : rows) {
-        if (r.scheme == "gaze")
-            gaze_kib = r.kib();
-        if (r.scheme == "bingo")
-            bingo_kib = r.kib();
-        if (r.scheme == "ipcp")
-            ipcp_kib = r.kib();
-    }
+    auto kib = [](const char *spec) {
+        return double(makePrefetcher(spec)->storageBits()) / 8 / 1024;
+    };
     // The paper's headline: Gaze is ~31x below Bingo.
-    EXPECT_GT(bingo_kib / gaze_kib, 20.0);
-    EXPECT_LT(ipcp_kib, gaze_kib);
+    EXPECT_GT(kib("bingo") / kib("gaze"), 20.0);
+    EXPECT_LT(kib("ipcp"), kib("gaze"));
 }
 
 // ------------------------------------------------------------- runner
@@ -239,13 +239,17 @@ TEST(Runner, SuiteSummaryAggregates)
     Runner runner(cfg);
 
     std::vector<WorkloadDef> suite;
-    for (uint64_t s = 1; s <= 2; ++s)
-        suite.push_back({"s" + std::to_string(s), "test", [s] {
+    for (uint64_t s = 1; s <= 2; ++s) {
+        // append(), not "s" + ...: GCC 12 at -O3 flags the operator+
+        // form with a -Wrestrict false positive.
+        std::string name = std::string("s").append(std::to_string(s));
+        suite.push_back({name, "test", [s] {
                              StreamParams p;
                              p.seed = s;
                              p.records = 40000;
                              return genStream(p);
                          }});
+    }
     std::vector<PrefetchMetrics> cells;
     for (const auto &w : suite)
         cells.push_back(runner.evaluate(w, PfSpec{"gaze"}));

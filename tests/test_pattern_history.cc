@@ -166,15 +166,6 @@ TEST(PatternHistoryTable, LargeRegionGeometry)
     EXPECT_TRUE(b->test(100));
 }
 
-TEST(PatternHistoryTable, StorageBitsMatchTableI)
-{
-    GazeConfig cfg;
-    // Table I: PHT = 256 entries x (6 tag + 2 LRU + 64 bits) = 2304B.
-    PatternHistoryTable pht(cfg);
-    EXPECT_EQ(pht.storageBits(), 256u * 72);
-    EXPECT_EQ(pht.storageBits() / 8, 2304u);
-}
-
 // ----------------------------------------------------- StreamingDetector
 
 TEST(StreamingDetector, DensePcIsRemembered)
@@ -210,14 +201,6 @@ TEST(StreamingDetector, CounterFollowsPaperRules)
     EXPECT_TRUE(sd.counterAboveHalf());
     sd.onSparseRegion(); // 3 -> 1
     EXPECT_FALSE(sd.counterAboveHalf());
-}
-
-TEST(StreamingDetector, StorageBitsMatchTableI)
-{
-    GazeConfig cfg;
-    StreamingDetector sd(cfg);
-    // Table I: DPCT = 8 x (12 + 3) = 120 bits = 15 bytes (+3b DC).
-    EXPECT_EQ(sd.storageBits(), 8u * 15 + 3);
 }
 
 } // namespace
